@@ -17,6 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
+#: one profile row: (pc, byte offset, prefetches issued, prefetches used)
+ProfileRow = Tuple[int, int, int, int]
+
 #: A pointer group key: (static load PC, byte offset from accessed address).
 PGKey = Tuple[int, int]
 
@@ -64,6 +67,25 @@ class PointerGroupProfile:
 
     def items(self) -> Iterable[Tuple[PGKey, PointerGroupStats]]:
         return self._stats.items()
+
+    def rows(self) -> List[ProfileRow]:
+        """Every PG as a ``(pc, offset, issued, useful)`` row, sorted.
+
+        The canonical, order-free form of a profile: goldens and the
+        on-disk profile artifacts store exactly this.
+        """
+        return sorted(
+            (pc, offset, stats.issued, stats.useful)
+            for (pc, offset), stats in self._stats.items()
+        )
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "PointerGroupProfile":
+        """Rebuild a profile from :meth:`rows` output."""
+        profile = cls()
+        for pc, offset, issued, useful in rows:
+            profile._stats[(pc, offset)] = PointerGroupStats(issued, useful)
+        return profile
 
     def __len__(self) -> int:
         return len(self._stats)

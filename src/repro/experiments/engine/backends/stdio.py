@@ -282,6 +282,7 @@ class StdioPoolBackend(ExecutorBackend):
             "fault": fault.to_dict() if fault is not None else None,
             "heartbeat": heartbeat,
             "telemetry_dir": job.telemetry_dir,
+            "artifact_dir": job.artifact_dir,
         }
         try:
             transport.send(request)

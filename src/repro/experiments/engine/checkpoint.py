@@ -130,6 +130,29 @@ def frame_record(data: dict) -> str:
     return '{"crc":"%08x","data":%s}\n' % (crc, payload.decode("utf-8"))
 
 
+def unframe_record(parsed: dict) -> Optional[dict]:
+    """The verified ``data`` of a decoded v2 frame, else None.
+
+    The inverse of :func:`frame_record` for a line already parsed as
+    JSON: None unless *parsed* is exactly ``{"crc", "data"}``, its
+    ``data`` is a keyed record, and the checksum matches.
+    """
+    if set(parsed) != {"crc", "data"}:
+        return None
+    data = parsed["data"]
+    try:
+        stated = int(str(parsed["crc"]), 16)
+    except ValueError:
+        return None
+    if (
+        isinstance(data, dict)
+        and "key" in data
+        and zlib.crc32(_canonical(data)) & 0xFFFFFFFF == stated
+    ):
+        return data
+    return None
+
+
 def record_content_hash(record: dict) -> str:
     """Content hash of a journal record, ignoring volatile fields.
 
@@ -228,7 +251,7 @@ class CheckpointJournal:
             salvage.note_bad(line_number)
             return None
         if set(parsed) == {"crc", "data"}:  # v2 framed line
-            data = self._verify_framed(parsed)
+            data = unframe_record(parsed)
             if data is None:
                 salvage.crc_mismatch += 1
                 salvage.note_bad(line_number)
@@ -261,27 +284,9 @@ class CheckpointJournal:
                 continue
             if not isinstance(parsed, dict):
                 continue
-            data = CheckpointJournal._verify_framed(parsed)
+            data = unframe_record(parsed)
             if data is not None:
                 return data
-
-    @staticmethod
-    def _verify_framed(parsed: dict) -> Optional[dict]:
-        """The verified ``data`` of a v2 framed object, else None."""
-        if set(parsed) != {"crc", "data"}:
-            return None
-        data = parsed["data"]
-        try:
-            stated = int(str(parsed["crc"]), 16)
-        except ValueError:
-            return None
-        if (
-            isinstance(data, dict)
-            and "key" in data
-            and zlib.crc32(_canonical(data)) & 0xFFFFFFFF == stated
-        ):
-            return data
-        return None
 
     def load_with_stats(self) -> Tuple[Dict[str, dict], JournalSalvage]:
         """(key -> last recorded outcome, salvage report).

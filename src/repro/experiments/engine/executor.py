@@ -39,10 +39,16 @@ journal, *and backend* faults at deterministic (job, attempt)
 coordinates, and a :class:`~repro.experiments.engine.supervise.
 GracefulDrain` turns SIGTERM/SIGINT into a checkpointed stop (finish
 in-flight work, journal it, return an ``interrupted`` report).
+
+With a checkpoint journal, every dispatched job also carries the
+``artifacts/`` directory beside it (unless the job names its own), so
+cells on any backend share one persisted train profile per benchmark
+(:mod:`repro.experiments.artifacts`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 import warnings
@@ -51,6 +57,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import CheckpointError, SweepInterrupted
+from repro.experiments.artifacts import artifact_dir_for, source_digest
 from repro.experiments.engine.backends import (
     ExecutorBackend,
     create_backend,
@@ -228,6 +235,8 @@ class ExecutionEngine:
         """
         self._t0 = time.monotonic()
         report = SweepReport()
+        if self.checkpoint is not None:
+            source_digest()  # computed once here; forked workers inherit it
         prior: Dict[str, dict] = {}
         if resume and self.checkpoint is not None:
             prior, report.salvage = self.checkpoint.load_with_stats()
@@ -375,7 +384,7 @@ class ExecutionEngine:
             )
             try:
                 handle = self.backend.submit(
-                    entry.job,
+                    self._dispatched(entry.job),
                     entry.attempt,
                     fault=worker_fault,
                     heartbeat=heartbeat,
@@ -415,6 +424,18 @@ class ExecutionEngine:
             running.append(
                 _Running(entry, handle, deadline, backend_fault)
             )
+
+    def _dispatched(self, job: Job) -> Job:
+        """*job* as sent to a worker: with the sweep's artifact directory.
+
+        A non-identity field, so the job key — and every journal record
+        — is the same with or without it.
+        """
+        if self.checkpoint is None or job.artifact_dir is not None:
+            return job
+        return dataclasses.replace(
+            job, artifact_dir=artifact_dir_for(self.checkpoint.path)
+        )
 
     def _reap(self, pending, running, report, progress) -> None:
         if not running:

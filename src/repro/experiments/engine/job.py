@@ -46,10 +46,11 @@ IDENTITY_FIELDS = (
 #: is *observed or scheduled*, never its simulated outcome.  A telemetry
 #: sweep can resume from a non-telemetry journal (and vice versa), and a
 #: service submission with a different telemetry destination dedupes
-#: against the cached result.  The identity regression test enforces
+#: against the cached result.  Where profile artifacts are cached is
+#: likewise invisible to the result.  The identity regression test enforces
 #: that IDENTITY_FIELDS + NON_IDENTITY_FIELDS covers every Job field, so
 #: adding a field forces an explicit decision about which side it is on.
-NON_IDENTITY_FIELDS = ("telemetry_dir",)
+NON_IDENTITY_FIELDS = ("telemetry_dir", "artifact_dir")
 
 
 def canonical_config(config) -> object:
@@ -89,6 +90,10 @@ class Job:
     #: telemetry does not change the simulation, so a telemetry sweep can
     #: resume from a non-telemetry journal and vice versa.
     telemetry_dir: Optional[str] = None
+    #: directory of persisted profile artifacts (None = compute in
+    #: memory only).  The engine fills it in beside its checkpoint
+    #: journal; excluded from :meth:`key` like ``telemetry_dir``.
+    artifact_dir: Optional[str] = None
 
     @property
     def label(self) -> str:

@@ -46,6 +46,8 @@ def default_worker(job: Job) -> Any:
     journal (one ``<benchmark>-<mechanism>-<input_set>.series.jsonl``
     per cell — the path is deterministic via
     :func:`repro.telemetry.series_path`, so exporters can recompute it).
+    A job's ``artifact_dir`` is where its train profile is read from and
+    written to (:mod:`repro.experiments.artifacts`).
     """
     from repro.experiments.runner import run_benchmark
 
@@ -63,6 +65,7 @@ def default_worker(job: Job) -> Any:
         input_set=job.input_set,
         profile_input=job.profile_input,
         telemetry=telemetry,
+        artifact_dir=job.artifact_dir,
     )
     if telemetry is not None:
         from pathlib import Path
@@ -167,7 +170,7 @@ def _send(conn, message, lock=None, stop_heartbeat=None) -> None:
 #     {"op": "ping", "id": N}
 #     {"op": "run",  "id": N, "job": <submission>, "worker": "mod:qual",
 #      "fault": <spec|null>, "heartbeat": <seconds|null>,
-#      "telemetry_dir": <dir|null>}
+#      "telemetry_dir": <dir|null>, "artifact_dir": <dir|null>}
 #     {"op": "shutdown", "id": N}
 #
 # and responses `{"id": N, "event": "pong"|"heartbeat"|"outcome"|...}`.
@@ -260,7 +263,9 @@ def _serve_one(request: Dict[str, Any], write_line, lock) -> None:
         from repro.service.protocol import job_from_submission
 
         job = job_from_submission(
-            request["job"], telemetry_dir=request.get("telemetry_dir")
+            request["job"],
+            telemetry_dir=request.get("telemetry_dir"),
+            artifact_dir=request.get("artifact_dir"),
         )
         worker = resolve_worker(request.get("worker"))
         fault = None

@@ -7,7 +7,9 @@ measured input — and returns a :class:`~repro.core.stats.CoreResult`.
 
 Results and profiles are memoized per (benchmark, mechanism, input set,
 config), since the benchmark harness re-uses the same baselines across many
-figures.
+figures.  Given an artifact directory (a sweep's, beside its checkpoint
+journal), profiles are also persisted there and read back by later cells
+and processes (:mod:`repro.experiments.artifacts`).
 """
 
 from __future__ import annotations
@@ -26,6 +28,12 @@ from repro.core.stats import CoreResult
 from repro.core.system import MultiCoreSystem
 from repro.dram.bus import MemoryBus
 from repro.dram.controller import DramController
+from repro.experiments.artifacts import (
+    ArtifactStats,
+    profile_key,
+    read_profile,
+    write_profile,
+)
 from repro.experiments.configs import Mechanism, get_mechanism
 from repro.prefetch.avd import AvdPrefetcher
 from repro.prefetch.cdp import ContentDirectedPrefetcher
@@ -121,12 +129,18 @@ def _default_cache_capacity() -> int:
 
 _PROFILE_CACHE = LruCache(_default_cache_capacity())
 _RESULT_CACHE = LruCache(_default_cache_capacity())
+_ARTIFACT_STATS = ArtifactStats()
 
 
 def clear_caches() -> None:
-    """Drop memoized profiles and results (tests use this)."""
+    """Drop memoized profiles and results, reset every counter.
+
+    Profile artifacts on disk are left alone: they belong to the sweep
+    directory that holds them.
+    """
     _PROFILE_CACHE.clear()
     _RESULT_CACHE.clear()
+    _ARTIFACT_STATS.clear()
 
 
 def set_cache_capacity(capacity: int) -> None:
@@ -136,10 +150,15 @@ def set_cache_capacity(capacity: int) -> None:
 
 
 def cache_stats() -> Dict[str, Dict[str, int]]:
-    """Hit/miss/eviction counters for both memoization caches."""
+    """Counters for both memoization caches and the artifact store.
+
+    ``"profiles"`` counts the in-memory profile memo only: a profile read
+    back from disk is a miss there and a hit under ``"artifacts"``.
+    """
     return {
         "profiles": _PROFILE_CACHE.stats,
         "results": _RESULT_CACHE.stats,
+        "artifacts": _ARTIFACT_STATS.as_dict(),
     }
 
 
@@ -158,16 +177,28 @@ def profile_benchmark(
     benchmark: str,
     config: SystemConfig,
     input_set: str = "train",
+    artifact_dir: Optional[str] = None,
 ):
-    """Run the profiling compiler pass; returns a PointerGroupProfile."""
+    """Run the profiling compiler pass; returns a PointerGroupProfile.
+
+    Looks in the in-memory memo first, then (given *artifact_dir*) on
+    disk, and only then profiles; a computed profile is written back to
+    *artifact_dir*.  Without one, nothing touches the disk.
+    """
     key = ("profile", benchmark, input_set, config)
     cached = _PROFILE_CACHE.get(key)
     if cached is not None:
         return cached
-    instance = get_workload(benchmark).build(input_set)
-    profile = profile_trace(
-        instance.memory, instance.trace(), profiler_config(config)
-    )
+    settings = profiler_config(config)
+    profile = None
+    if artifact_dir is not None:
+        address = profile_key(benchmark, input_set, settings)
+        profile = read_profile(artifact_dir, address, _ARTIFACT_STATS)
+    if profile is None:
+        instance = get_workload(benchmark).build(input_set)
+        profile = profile_trace(instance.memory, instance.trace(), settings)
+        if artifact_dir is not None:
+            write_profile(artifact_dir, address, profile, _ARTIFACT_STATS)
     _PROFILE_CACHE.put(key, profile)
     return profile
 
@@ -177,11 +208,14 @@ def hint_filter_for(
     benchmark: str,
     config: SystemConfig,
     profile_input: str = "train",
+    artifact_dir: Optional[str] = None,
 ) -> Optional[Callable[[int, int], bool]]:
     """Build the CDP hint filter the mechanism calls for (None = greedy)."""
     if mechanism.hints == "none":
         return None
-    profile = profile_benchmark(benchmark, config, profile_input)
+    profile = profile_benchmark(
+        benchmark, config, profile_input, artifact_dir=artifact_dir
+    )
     if mechanism.hints == "ecdp":
         return HintTable.from_profile(profile).allows
     if mechanism.hints in ("grp", "loadfilter"):
@@ -342,12 +376,15 @@ def run_benchmark(
     profile_input: str = "train",
     use_cache: bool = True,
     telemetry=None,
+    artifact_dir: Optional[str] = None,
 ) -> CoreResult:
     """Run one benchmark under one mechanism on a single core.
 
     With a :class:`repro.telemetry.Telemetry` session, the run records
     into the session's ``core0`` stream, and the result cache is
     bypassed (a memoized result would carry no recordings).
+    *artifact_dir* is where the train profile is persisted (see
+    :func:`profile_benchmark`).
     """
     config = config or SystemConfig.scaled()
     mech = get_mechanism(mechanism)
@@ -358,7 +395,9 @@ def run_benchmark(
         cached = _RESULT_CACHE.get(key)
         if cached is not None:
             return cached
-    hint_filter = hint_filter_for(mech, benchmark, config, profile_input)
+    hint_filter = hint_filter_for(
+        mech, benchmark, config, profile_input, artifact_dir=artifact_dir
+    )
     instance = get_workload(benchmark).build(input_set)
     dram = make_dram(config, n_cores=1)
     stream_telemetry = (

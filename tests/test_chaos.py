@@ -40,7 +40,8 @@ from repro.experiments.engine import (
     WatchdogPolicy,
     record_content_hash,
 )
-from repro.experiments.engine.checkpoint import frame_record
+from repro.experiments.engine.checkpoint import frame_record, journal_record
+from repro.experiments.engine.job import JobResult
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05)
 WATCHDOG = WatchdogPolicy(no_progress_timeout=1.0)
@@ -295,35 +296,45 @@ class TestGracefulDrain:
             assert not drain2.requested
 
 
+def _intact_lines():
+    """A clean one-slot run's journal lines, with fixed timings.
+
+    The records a real run of :func:`jobs` journals, except that the
+    volatile wall-clock fields are pinned, so every line — and the set
+    of byte offsets the torn-write sweep cuts at — is the same on every
+    run.
+    """
+    return [
+        frame_record(journal_record(JobResult(
+            job, "ok", result=chaos_worker(job), duration=0.012345,
+            executor="local", queue_seconds=0.001234,
+        ))).encode("utf-8")
+        for job in jobs()
+    ]
+
+
+_INTACT_LINES = _intact_lines()
+
+
 @pytest.fixture(scope="module")
 def intact_journal(tmp_path_factory):
     """One clean run's journal bytes: (lines, key -> record)."""
     path = tmp_path_factory.mktemp("torn") / "intact.jsonl"
+    path.write_bytes(b"".join(_INTACT_LINES))
     journal = CheckpointJournal(path)
-    engine = ExecutionEngine(
-        jobs=1, worker=chaos_worker, checkpoint=journal, retry=FAST_RETRY
-    )
-    assert engine.run(jobs()).exit_code == 0
     lines = path.read_bytes().splitlines(keepends=True)
     assert len(lines) == len(BENCHMARKS)
     return lines, journal.load()
 
 
-#: upper bound on framed-record line length for the parametrized sweep;
-#: offsets past the real length are skipped at run time
-_MAX_CUT = 360
-
-
 class TestTornWriteSweep:
     """Journal truncated at every byte offset of its final record."""
 
-    @pytest.mark.parametrize("cut", range(_MAX_CUT))
+    @pytest.mark.parametrize("cut", range(len(_INTACT_LINES[-1])))
     def test_truncation_keeps_the_prefix(
         self, tmp_path, intact_journal, cut
     ):
         lines, intact = intact_journal
-        if cut >= len(lines[-1]):
-            pytest.skip("offset past the final record")
         prefix = b"".join(lines[:-1])
         prefix_keys = {
             json.loads(line)["data"]["key"] for line in lines[:-1]

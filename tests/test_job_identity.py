@@ -57,8 +57,9 @@ class TestFieldPartition:
 
     def test_excluded_fields_are_exactly_the_volatile_ones(self):
         # the full enumeration, so a reviewer sees the policy at a glance:
-        # where telemetry lands does not change what was simulated
-        assert NON_IDENTITY_FIELDS == ("telemetry_dir",)
+        # where telemetry lands and where profile artifacts are cached do
+        # not change what was simulated
+        assert NON_IDENTITY_FIELDS == ("telemetry_dir", "artifact_dir")
 
     def test_identity_payload_covers_exactly_the_identity_fields(self):
         payload = identity_payload(base_job())
@@ -66,7 +67,8 @@ class TestFieldPartition:
 
     def test_non_identity_fields_never_reach_the_key(self):
         keys = {
-            base_job(telemetry_dir=where).key()
+            base_job(**{name: where}).key()
+            for name in NON_IDENTITY_FIELDS
             for where in (None, "/tmp/a", "/tmp/b", "relative/dir")
         }
         assert len(keys) == 1

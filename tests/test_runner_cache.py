@@ -88,11 +88,14 @@ class TestRunnerWiring:
 
     def test_cache_stats_shape(self):
         stats = cache_stats()
-        assert set(stats) == {"profiles", "results"}
-        for counters in stats.values():
+        assert set(stats) == {"profiles", "results", "artifacts"}
+        for name in ("profiles", "results"):
             assert {"size", "capacity", "hits", "misses", "evictions"} <= set(
-                counters
+                stats[name]
             )
+        assert set(stats["artifacts"]) == {
+            "hits", "misses", "writes", "rejected"
+        }
 
     def test_set_cache_capacity_applies_to_both(self):
         set_cache_capacity(3)
