@@ -43,20 +43,11 @@ from repro.experiments.engine.checkpoint import (
 #: bump when the artifact payload changes shape
 FORMAT_VERSION = 1
 
-#: subdirectory of a journal's directory that holds its artifacts
-ARTIFACTS_DIRNAME = "artifacts"
-
-
-def artifact_dir_for(journal_path: PathLike) -> str:
-    """The artifact directory beside the journal at *journal_path*."""
-    return str(Path(journal_path).parent / ARTIFACTS_DIRNAME)
-
-
 @functools.lru_cache(maxsize=None)
 def source_digest() -> str:
     """sha256 over the ``repro`` package's ``.py`` sources.
 
-    Computed once per process; forked workers inherit it.
+    Computed at most once per process, on its first profile lookup.
     """
     root = Path(__file__).resolve().parents[1]
     digest = hashlib.sha256()

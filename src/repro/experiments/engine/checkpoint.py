@@ -46,6 +46,10 @@ PathLike = Union[str, Path]
 #: default directory for sweep journals, relative to the working directory
 DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
 
+#: subdirectory beside a journal that holds its sweep's profile
+#: artifacts (:mod:`repro.experiments.artifacts`)
+ARTIFACTS_DIRNAME = "artifacts"
+
 #: record fields that legitimately differ between two runs of the same
 #: job (wall-clock, retry history, which backend/host happened to run
 #: it); everything else is *content* — the chaos convergence property
@@ -220,11 +224,20 @@ class CheckpointJournal:
         slug = re.sub(r"[^A-Za-z0-9._+-]+", "_", name).strip("_") or "sweep"
         return cls(Path(directory) / f"{slug}.jsonl")
 
+    @property
+    def artifact_dir(self) -> str:
+        """The profile artifact directory beside this journal."""
+        return str(self.path.parent / ARTIFACTS_DIRNAME)
+
     def exists(self) -> bool:
         return self.path.exists()
 
     def clear(self) -> None:
-        """Delete the journal (start the sweep from scratch)."""
+        """Delete the journal (start the sweep from scratch).
+
+        The artifact directory beside it is kept: its profiles are keyed
+        by their own inputs, not by anything this sweep recorded.
+        """
         try:
             self.path.unlink()
         except FileNotFoundError:

@@ -41,8 +41,8 @@ GracefulDrain` turns SIGTERM/SIGINT into a checkpointed stop (finish
 in-flight work, journal it, return an ``interrupted`` report).
 
 With a checkpoint journal, every dispatched job also carries the
-``artifacts/`` directory beside it (unless the job names its own), so
-cells on any backend share one persisted train profile per benchmark
+``artifacts/`` directory beside it, so cells on any backend share one
+persisted train profile per benchmark
 (:mod:`repro.experiments.artifacts`).
 """
 
@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import CheckpointError, SweepInterrupted
-from repro.experiments.artifacts import artifact_dir_for, source_digest
 from repro.experiments.engine.backends import (
     ExecutorBackend,
     create_backend,
@@ -235,8 +234,6 @@ class ExecutionEngine:
         """
         self._t0 = time.monotonic()
         report = SweepReport()
-        if self.checkpoint is not None:
-            source_digest()  # computed once here; forked workers inherit it
         prior: Dict[str, dict] = {}
         if resume and self.checkpoint is not None:
             prior, report.salvage = self.checkpoint.load_with_stats()
@@ -431,10 +428,10 @@ class ExecutionEngine:
         A non-identity field, so the job key — and every journal record
         — is the same with or without it.
         """
-        if self.checkpoint is None or job.artifact_dir is not None:
+        if self.checkpoint is None:
             return job
         return dataclasses.replace(
-            job, artifact_dir=artifact_dir_for(self.checkpoint.path)
+            job, artifact_dir=self.checkpoint.artifact_dir
         )
 
     def _reap(self, pending, running, report, progress) -> None:

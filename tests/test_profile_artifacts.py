@@ -169,7 +169,7 @@ def test_journal_clear_keeps_artifacts(tmp_path):
     journal = CheckpointJournal(tmp_path / "sweep.jsonl")
     journal.path.write_text("")
     stats = ArtifactStats()
-    directory = artifacts.artifact_dir_for(journal.path)
+    directory = journal.artifact_dir
     write_profile(directory, "k", sample_profile(), stats)
     journal.clear()
     assert not journal.exists()
@@ -196,20 +196,6 @@ class TestEngineRouting:
         assert outcome.result["artifact_dir"] == str(tmp_path / "artifacts")
         assert outcome.result["key"] == job.key()
         assert outcome.job.artifact_dir is None  # the report keeps the job
-
-    def test_job_that_names_a_directory_keeps_it(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "sweep.jsonl")
-        job = Job("mst", "ecdp", CFG, input_set="test",
-                  artifact_dir=str(tmp_path / "mine"))
-        engine = ExecutionEngine(
-            jobs=1, checkpoint=journal, worker=where_artifacts_go,
-            retry=FAST_RETRY,
-        )
-        try:
-            outcome = engine.run([job]).results[job.key()]
-        finally:
-            engine.close()
-        assert outcome.result["artifact_dir"] == str(tmp_path / "mine")
 
     def test_engine_without_journal_writes_nothing(
         self, tmp_path, monkeypatch
