@@ -1115,14 +1115,12 @@ class BatchCore(FastCore):
         train_on_stores = self._train_on_stores
         has_train = self._has_train
         has_value_hooks = self._has_value_hooks
-        blk = self._blk
         cdp = self.cdp
         cdp_name = self._cdp_name
         gendler = self.gendler
         pg_observer = self.pg_observer
         hw_filter = self.hw_filter
         oracle_pcs = self.oracle_pcs
-        memory = self.memory
         deferred = self._deferred
         outstanding = self._outstanding
         feedback = self.feedback
@@ -1133,7 +1131,7 @@ class BatchCore(FastCore):
         fill_l2 = self._fill_l2
         fast_train = self._fast_train
         mshr_bound = self._mshr_bound
-        issue_prefetch = self._issue_prefetch
+        cdp_scan = self._cdp_scan
         value_hooks = self._value_hooks
 
         # hot mutable state, flushed around cold calls and at the end
@@ -1374,19 +1372,10 @@ class BatchCore(FastCore):
                         self.bus_transfers += 1
                         completion = arrival + l2_latency
                         fill_l2(tag, fill_time=arrival, demand_pc=pc)
-                        if cdp is not None and self._prefetcher_enabled(
-                            cdp.name
+                        if cdp is not None and (
+                            gendler is None or gendler.is_enabled(cdp_name)
                         ):
-                            words = memory.read_block_words(tag, blk)
-                            requests = cdp.scan_fill(
-                                tag,
-                                words,
-                                depth=1,
-                                demand_pc=pc,
-                                accessed_offset=addr & offset_mask,
-                            )
-                            for request in requests:
-                                issue_prefetch(request, ready)
+                            cdp_scan(tag, 1, pc, addr & offset_mask, ready)
                     # == FastCore._fast_fill_l1 (clean load fill)
                     if len(l1_set) >= l1_ways:
                         victim_tag = next(iter(l1_set))  # LRU victim

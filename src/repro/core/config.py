@@ -41,10 +41,11 @@ _POSITIVE_FIELDS = (
 
 
 #: valid simulation engines: the readable object-per-block reference
-#: model, the flat array-backed fast kernel, and the numpy columnar batch
-#: engine (see DESIGN.md, "Engine internals & performance").  All three
-#: produce bit-identical results, enforced by tests/differential/.
-#: "batch" requires numpy (the optional ``[perf]`` extra).
+#: model, the flat array-backed fast kernel (the default), and the numpy
+#: columnar batch engine (see DESIGN.md, "Engine internals &
+#: performance").  All three produce bit-identical results, enforced by
+#: tests/differential/.  "batch" requires numpy (the optional ``[perf]``
+#: extra).
 ENGINES = ("reference", "fast", "batch")
 
 
@@ -53,13 +54,16 @@ class SystemConfig:
     """Every knob of the simulated machine."""
 
     # -- engine ---------------------------------------------------------------
-    #: which core/cache implementation executes the trace.  "reference" is
-    #: the original object-per-access model; "fast" is the flat-array
-    #: kernel; "batch" decodes the trace into numpy columns up front and
-    #: vectorizes the per-op derivations (requires numpy).  All three are
-    #: behavior-identical (differential-tested), so this knob trades
-    #: readability for speed, never results.
-    engine: str = "reference"
+    #: which core/cache implementation executes the trace.  "fast" (the
+    #: default) is the flat-array kernel; "reference" is the original
+    #: object-per-access model, kept as the oracle the differential
+    #: suite checks every other engine against; "batch" decodes the
+    #: trace into numpy columns up front and vectorizes the per-op
+    #: derivations (requires numpy).  All three are behavior-identical
+    #: (differential-tested), so this knob trades readability for speed,
+    #: never results.  It is hashed with the rest of the config, so a
+    #: job's key names its engine.
+    engine: str = "fast"
 
     # -- core ---------------------------------------------------------------
     issue_width: int = 4  # decode/retire up to 4 instructions (Table 5)

@@ -14,15 +14,19 @@ same feedback/throttling hooks — but restructured for speed:
   (``_train_dispatch``) instead of re-resolving attribute chains per
   access;
 * demand misses use :meth:`DramController.demand_access_fast`, the
-  flattened form of the controller/bank/bus composition.
+  flattened form of the controller/bank/bus composition;
+* prefetch issue (``_issue_block``) inlines the L2 presence check, the
+  prefetch-queue admit and :meth:`DramController.prefetch_access_fast`,
+  and CDP scans (``_cdp_scan``) read a filled block straight from the
+  memory's word dict and issue each pointer as it is found, with no
+  word list, candidate list or request objects in between.
 
 The two engines must stay *bit-identical* on every CoreResult /
 PrefetcherResult statistic, throttle trajectory, and cache/DRAM counter;
 ``tests/differential/`` enforces this over a (workload x mechanism x
 throttling) matrix.  Any optimization that changes a number is a bug
-here, never a tolerable drift.  Cold paths (deferred CDP scans, prefetch
-issue, value hooks, result assembly) are inherited from ``Core``
-unchanged.
+here, never a tolerable drift.  The remaining cold paths (value hooks,
+result assembly) are inherited from ``Core`` unchanged.
 
 Telemetry contract: ``run`` binds ``feedback.record_use`` /
 ``record_demand_miss`` / ``record_eviction`` as locals once at entry, so
@@ -36,12 +40,16 @@ loop is byte-for-byte the pre-telemetry path.
 
 from __future__ import annotations
 
-from typing import Iterable
+import heapq
+from typing import Iterable, Optional, Tuple
 
 from repro.cache.set_assoc import FlatSetAssociativeCache
 from repro.core.cpu import Core
 from repro.core.instruction import MemOp
 from repro.core.stats import CoreResult
+from repro.memory.address import ADDRESS_BITS, NULL_REGION_END, WORD_SIZE
+from repro.prefetch.base import PrefetchRequest
+from repro.prefetch.cdp import CDP_LEVELS
 
 
 class FastCore(Core):
@@ -51,7 +59,6 @@ class FastCore(Core):
         super().__init__(*args, **kwargs)
         cfg = self.config
         # hot-loop constants, hoisted out of the per-op path
-        self._blk = cfg.block_size
         self._tag_mask = ~(cfg.block_size - 1)
         self._offset_mask = cfg.block_size - 1
         self._block_shift = cfg.block_size.bit_length() - 1
@@ -76,6 +83,15 @@ class FastCore(Core):
             self.value_observers
         )
         self._cdp_name = self.cdp.name if self.cdp is not None else None
+        if self.cdp is not None:
+            #: CDP scans read the backing store's word dict directly
+            self._words = self.memory.words
+            self._word_offsets = tuple(range(0, cfg.block_size, WORD_SIZE))
+            #: compare-bits predictor: a word is a pointer candidate when
+            #: ``value >> shift == block_addr >> shift`` (a shift of the
+            #: full address width matches everything, as compare_bits 0)
+            self._compare_shift = ADDRESS_BITS - self.cdp.compare_bits
+            self._cdp_target_mask = ~(self.cdp.block_size - 1)
 
     def _make_cache(self, size_bytes: int, ways: int, name: str):
         return FlatSetAssociativeCache(
@@ -126,14 +142,12 @@ class FastCore(Core):
         train_on_stores = self._train_on_stores
         has_train = self._has_train
         has_value_hooks = self._has_value_hooks
-        blk = self._blk
         cdp = self.cdp
         cdp_name = self._cdp_name
         gendler = self.gendler
         pg_observer = self.pg_observer
         hw_filter = self.hw_filter
         oracle_pcs = self.oracle_pcs
-        memory = self.memory
         deferred = self._deferred
         outstanding = self._outstanding
         feedback = self.feedback
@@ -144,7 +158,7 @@ class FastCore(Core):
         fill_l2 = self._fill_l2
         fast_train = self._fast_train
         mshr_bound = self._mshr_bound
-        issue_prefetch = self._issue_prefetch
+        cdp_scan = self._cdp_scan
         value_hooks = self._value_hooks
 
         # hot mutable state, flushed around cold calls and at the end
@@ -366,17 +380,10 @@ class FastCore(Core):
                     self.bus_transfers += 1
                     completion = arrival + l2_latency
                     fill_l2(tag, fill_time=arrival, demand_pc=op.pc)
-                    if cdp is not None and self._prefetcher_enabled(cdp.name):
-                        words = memory.read_block_words(tag, blk)
-                        requests = cdp.scan_fill(
-                            tag,
-                            words,
-                            depth=1,
-                            demand_pc=op.pc,
-                            accessed_offset=addr & offset_mask,
-                        )
-                        for request in requests:
-                            issue_prefetch(request, ready)
+                    if cdp is not None and (
+                        gendler is None or gendler.is_enabled(cdp_name)
+                    ):
+                        cdp_scan(tag, 1, op.pc, addr & offset_mask, ready)
                 # == FastCore._fast_fill_l1 (clean load fill)
                 if len(l1_set) >= l1_ways:
                     victim_tag = next(iter(l1_set))  # LRU victim
@@ -584,18 +591,12 @@ class FastCore(Core):
                 self.bus_transfers += 1
                 completion = arrival + self._l2_latency
                 self._fill_l2(tag, fill_time=arrival, demand_pc=op.pc)
-                cdp = self.cdp
-                if cdp is not None and self._prefetcher_enabled(cdp.name):
-                    words = self.memory.read_block_words(tag, self._blk)
-                    requests = cdp.scan_fill(
-                        tag,
-                        words,
-                        depth=1,
-                        demand_pc=op.pc,
-                        accessed_offset=addr & self._offset_mask,
+                if self.cdp is not None and self._prefetcher_enabled(
+                    self._cdp_name
+                ):
+                    self._cdp_scan(
+                        tag, 1, op.pc, addr & self._offset_mask, ready
                     )
-                    for request in requests:
-                        self._issue_prefetch(request, ready)
             self._fast_fill_l1(tag, l1_set_index, 0)
             while outstanding and outstanding[0][0] <= cycle:
                 outstanding.popleft()
@@ -700,16 +701,140 @@ class FastCore(Core):
                 for request in requests:
                     issue(request, cycle)
 
-    def _push_outstanding(self, completion: float) -> None:
-        # same as Core._push_outstanding with the MSHR bound hoisted;
-        # ``step`` inlines this, but cold paths may still call it
-        outstanding = self._outstanding
-        cycle = self.cycle
-        while outstanding and outstanding[0][0] <= cycle:
-            outstanding.popleft()
-        outstanding.append((completion, self.retired))
-        if len(outstanding) > self._l2_mshrs:
-            self._mshr_bound()
+    # -- prefetch issue and CDP scans (== Core._issue_prefetch et al.) -----
+
+    def _issue_prefetch(
+        self,
+        request: PrefetchRequest,
+        now: float,
+        parent_addr: Optional[int] = None,
+    ) -> None:
+        """Issue a prefetcher's request (trained and value-hook
+        prefetchers build ``PrefetchRequest`` objects)."""
+        self._issue_block(
+            request.block_addr,
+            request.owner,
+            now,
+            request.depth,
+            request.root,
+            parent_addr,
+        )
+
+    def _issue_block(
+        self,
+        block_addr: int,
+        owner: str,
+        now: float,
+        depth: int = 1,
+        root: Optional[Tuple[int, int]] = None,
+        parent_addr: Optional[int] = None,
+    ) -> None:
+        """Issue one prefetch: ``Core._issue_prefetch`` without the
+        ``PrefetchRequest``, with the L2 probe, the prefetch-queue admit
+        and the DRAM access inlined."""
+        is_cdp = owner == self._cdp_name
+        if is_cdp:
+            hw_filter = self.hw_filter
+            if hw_filter is not None and not hw_filter.allows(block_addr):
+                return
+        # == l2.contains: an L2 hit needs no memory request
+        tag = block_addr & self._tag_mask
+        if tag in self.l2._sets[(tag >> self._block_shift) & self._l2_set_mask]:
+            return
+        # == PrefetchQueue.try_admit
+        pf_queue = self.pf_queue
+        pf_heap = pf_queue._in_flight
+        while pf_heap and pf_heap[0] <= now:
+            heapq.heappop(pf_heap)
+        if len(pf_heap) >= pf_queue.capacity:
+            pf_queue.dropped += 1
+            return
+        completion = self.dram.prefetch_access_fast(now, block_addr)
+        if completion is None:
+            return  # dropped: memory request buffer full
+        heapq.heappush(pf_heap, completion)  # == PrefetchQueue.commit
+        self.bus_transfers += 1
+        self.feedback.record_issue(owner)
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.emit(now, "prefetch", owner, block_addr, completion - now)
+        gendler = self.gendler
+        if gendler is not None:
+            gendler.record_issue(owner)
+        if is_cdp and self.pg_observer is not None:
+            self.pg_observer.on_issue(block_addr, root, parent_addr)
+        self._fill_l2(block_addr, fill_time=completion, prefetch_owner=owner)
+        if is_cdp and depth < CDP_LEVELS[-1]:
+            self._seq += 1
+            heapq.heappush(
+                self._deferred, (completion, self._seq, block_addr, depth)
+            )
+
+    def _cdp_scan(
+        self,
+        block_addr: int,
+        depth: int,
+        demand_pc: Optional[int],
+        accessed_offset: int,
+        now: float,
+        parent_addr: Optional[int] = None,
+    ) -> None:
+        """``ContentDirectedPrefetcher.scan_fill`` fused with the loop that
+        issues its requests.
+
+        Each pointer is issued as soon as it is found instead of after
+        the whole block is scanned.  That is the same sequence of issues:
+        which words are pointers, and which the hint filter keeps, depend
+        only on memory contents and the static hint filter, and the
+        recursion-depth check reads the level once, before any issue.
+        The prefetcher's scan counters advance exactly as in
+        ``scan_fill``.
+        """
+        cdp = self.cdp
+        if depth > cdp.max_recursion_depth:
+            return
+        cdp.scanned_blocks += 1
+        words = self._words
+        shift = self._compare_shift
+        high = block_addr >> shift
+        target_mask = self._cdp_target_mask
+        hint_filter = cdp.hint_filter if demand_pc is not None else None
+        owner = self._cdp_name
+        issue = self._issue_block
+        seen_targets = set()
+        for offset in self._word_offsets:
+            value = words.get(block_addr + offset, 0)
+            if value < NULL_REGION_END or value >> shift != high:
+                continue  # NULL page, or fails the compare-bits predictor
+            cdp.candidates_seen += 1
+            byte_delta = offset - accessed_offset
+            if hint_filter is not None and not hint_filter(
+                demand_pc, byte_delta
+            ):
+                cdp.candidates_filtered += 1
+                continue
+            target = value & target_mask
+            if target == block_addr or target in seen_targets:
+                continue  # self-links and duplicate targets add nothing
+            seen_targets.add(target)
+            issue(
+                target,
+                owner,
+                now,
+                depth,
+                (demand_pc, byte_delta) if demand_pc is not None else None,
+                parent_addr,
+            )
+
+    def _drain_deferred(self) -> None:
+        """Scan CDP-prefetched blocks whose fills have now arrived."""
+        deferred = self._deferred
+        cdp_name = self._cdp_name
+        while deferred and deferred[0][0] <= self.cycle:
+            when, __, block_addr, depth = heapq.heappop(deferred)
+            if cdp_name is None or not self._prefetcher_enabled(cdp_name):
+                continue
+            self._cdp_scan(block_addr, depth + 1, None, 0, when, block_addr)
 
     def _mshr_bound(self) -> None:
         # rare: enforce the L2 MSHR cap (tail of Core._push_outstanding)

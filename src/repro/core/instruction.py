@@ -11,13 +11,15 @@ paper (PGs key on static loads; BPKI normalizes by retired instructions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, NamedTuple
 
 
-@dataclass(frozen=True)
-class MemOp:
+class MemOp(NamedTuple):
     """One dynamic memory operation in a workload trace.
+
+    A ``NamedTuple``: immutable like a frozen dataclass, but built by one
+    tuple allocation, which matters because trace generation creates one
+    per simulated memory access.
 
     Attributes:
         pc: Static instruction identifier of the load/store.  Pointer
@@ -33,8 +35,6 @@ class MemOp:
             completes — the property that makes LDS misses expensive and
             LDS prefetching valuable in the first place.
     """
-
-    __slots__ = ("pc", "addr", "is_load", "work", "dep")
 
     pc: int
     addr: int

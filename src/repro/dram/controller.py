@@ -166,6 +166,46 @@ class DramController:
         stats.total_demand_latency += completion - now
         return completion
 
+    def prefetch_access_fast(
+        self, now: float, block_addr: int
+    ) -> Optional[float]:
+        """Flattened ``access(now, block_addr, is_demand=False)``.
+
+        The sibling of :meth:`demand_access_fast` for the fast engine's
+        prefetch issue: drop on a full request buffer, otherwise the same
+        bank service and a bus transfer queued behind all traffic.
+        """
+        heap = self._in_flight
+        while heap and heap[0] <= now:
+            heapq.heappop(heap)
+        if len(heap) >= self.request_buffer_size:
+            self.stats.dropped_prefetches += 1
+            return None
+        ready = now + self.controller_overhead
+        # bank service (== BankArray.service)
+        banks = self.banks
+        busy_until = banks._busy_until
+        bank = (block_addr // self.block_size) % banks.n_banks
+        bank_start = busy_until[bank]
+        if bank_start > ready:
+            banks.conflicts += 1
+        else:
+            bank_start = ready
+        bank_done = bank_start + banks.occupancy_cycles
+        busy_until[bank] = bank_done
+        # prefetch bus transfer (== MemoryBus.transfer, is_demand=False)
+        bus = self.bus
+        transfer_start = bus._any_busy_until
+        if transfer_start < bank_done:
+            transfer_start = bank_done
+        completion = transfer_start + self._block_transfer_cycles
+        if bus._any_busy_until < completion:
+            bus._any_busy_until = completion
+        bus.transfers += 1
+        heapq.heappush(heap, completion)
+        self.stats.prefetch_requests += 1
+        return completion
+
     def writeback(self, now: float, block_addr: int) -> float:
         """A dirty-block writeback: one bus transfer, no read latency."""
         self.stats.writebacks += 1

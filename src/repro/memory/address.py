@@ -12,6 +12,8 @@ from __future__ import annotations
 ADDRESS_BITS = 32
 ADDRESS_MASK = (1 << ADDRESS_BITS) - 1
 WORD_SIZE = 4  # bytes per pointer / word (x86-32, per paper Section 5)
+#: ``addr & WORD_ALIGN_MASK == align_down(addr, WORD_SIZE)``
+WORD_ALIGN_MASK = ~(WORD_SIZE - 1)
 
 # NULL region: values below this are never treated as heap addresses.  Real
 # programs keep page zero unmapped; our allocator never hands out addresses

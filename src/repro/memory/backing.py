@@ -15,8 +15,8 @@ from typing import Dict, Iterator, List, Tuple
 
 from repro.memory.address import (
     ADDRESS_MASK,
+    WORD_ALIGN_MASK,
     WORD_SIZE,
-    align_down,
     validate_address,
 )
 
@@ -32,15 +32,28 @@ class SimulatedMemory:
     def __init__(self) -> None:
         self._words: Dict[int, int] = {}
 
+    @property
+    def words(self) -> Dict[int, int]:
+        """The store itself: word-aligned address -> 32-bit value.
+
+        For hot paths that inline :meth:`read_word` / :meth:`write_word`
+        (trace generation, the fast engine's CDP scan).  Writers must
+        keep the invariants those methods enforce: 32-bit word-aligned
+        keys and values masked to 32 bits.
+        """
+        return self._words
+
     def read_word(self, addr: int) -> int:
         """Read the 32-bit value at word-aligned *addr* (0 if never written)."""
-        validate_address(addr)
-        return self._words.get(align_down(addr, WORD_SIZE), 0)
+        if not 0 <= addr <= ADDRESS_MASK:
+            validate_address(addr)
+        return self._words.get(addr & WORD_ALIGN_MASK, 0)
 
     def write_word(self, addr: int, value: int) -> None:
         """Write 32-bit *value* at word-aligned *addr*."""
-        validate_address(addr)
-        self._words[align_down(addr, WORD_SIZE)] = value & ADDRESS_MASK
+        if not 0 <= addr <= ADDRESS_MASK:
+            validate_address(addr)
+        self._words[addr & WORD_ALIGN_MASK] = value & ADDRESS_MASK
 
     def read_block_words(self, block_addr: int, block_size: int) -> List[int]:
         """All word values in the cache block at *block_addr*, in order.

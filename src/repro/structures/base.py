@@ -10,11 +10,20 @@ through a :class:`Program`, which reads the same memory *and* emits the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.instruction import MemOp
-from repro.memory.address import WORD_SIZE
+from repro.memory.address import (
+    ADDRESS_MASK,
+    WORD_ALIGN_MASK,
+    WORD_SIZE,
+    validate_address,
+)
 from repro.memory.backing import SimulatedMemory
+
+#: builds a MemOp without the NamedTuple's Python-level ``__new__``
+_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -28,10 +37,18 @@ class StructLayout:
 
     name: str
     fields: Tuple[str, ...]
+    #: field name -> byte offset, derived from ``fields`` once
+    _offsets: Dict[str, int] = dataclass_field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(set(self.fields)) != len(self.fields):
             raise ValueError(f"duplicate field names in struct {self.name!r}")
+        offsets = {
+            name: index * WORD_SIZE for index, name in enumerate(self.fields)
+        }
+        object.__setattr__(self, "_offsets", offsets)
 
     @property
     def size(self) -> int:
@@ -39,11 +56,19 @@ class StructLayout:
 
     def offset(self, field: str) -> int:
         """Byte offset of *field* within the record."""
-        return self.fields.index(field) * WORD_SIZE
+        try:
+            return self._offsets[field]
+        except KeyError:
+            raise ValueError(
+                f"struct {self.name!r} has no field {field!r}"
+            ) from None
 
     def addr_of(self, base: int, field: str) -> int:
         """Address of *field* in the record at *base*."""
-        return base + self.offset(field)
+        try:
+            return base + self._offsets[field]
+        except KeyError:
+            return base + self.offset(field)  # raises the ValueError
 
 
 class Program:
@@ -66,6 +91,7 @@ class Program:
 
     def __init__(self, memory: SimulatedMemory) -> None:
         self.memory = memory
+        self._words = memory.words
         self._pending_work = 0
         self._ops: List[MemOp] = []
         self._load_seq = 0
@@ -82,22 +108,32 @@ class Program:
         the node whose field is being read), used to stamp the load-load
         dependence.
         """
+        if not 0 <= addr <= ADDRESS_MASK:
+            validate_address(addr)
         dep = -1
         if base is not None:
             dep = self._producers.get(base, -1)
         seq = self._load_seq
         self._load_seq = seq + 1
-        self._ops.append(MemOp(pc, addr, True, self._pending_work, dep))
+        self._ops.append(
+            _new_tuple(MemOp, (pc, addr, True, self._pending_work, dep))
+        )
         self._pending_work = 0
-        value = self.memory.read_word(addr)
+        # == memory.read_word(addr), address already checked
+        value = self._words.get(addr & WORD_ALIGN_MASK, 0)
         if value >= self._MIN_POINTER:
             self._producers[value] = seq
         return value
 
     def store(self, pc: int, addr: int, value: int) -> None:
         """Emit a store at *pc*; write *value* to the backing store."""
-        self.memory.write_word(addr, value)
-        self._ops.append(MemOp(pc, addr, False, self._pending_work, -1))
+        if not 0 <= addr <= ADDRESS_MASK:
+            validate_address(addr)
+        # == memory.write_word(addr, value), address already checked
+        self._words[addr & WORD_ALIGN_MASK] = value & ADDRESS_MASK
+        self._ops.append(
+            _new_tuple(MemOp, (pc, addr, False, self._pending_work, -1))
+        )
         self._pending_work = 0
 
     def drain(self) -> List[MemOp]:

@@ -4,7 +4,8 @@ A *snapshot* is every externally observable statistic of one simulation:
 the :class:`~repro.core.stats.CoreResult` (cycles, IPC inputs, per-
 prefetcher issue/useful/harmful/late counts), both caches' counters, the
 DRAM controller's counters, prefetch-queue drops, each throttled
-prefetcher's final aggressiveness level, and — when coordinated
+prefetcher's final aggressiveness level, CDP's scan counters (blocks
+scanned, pointer candidates seen and hint-filtered), and — when coordinated
 throttling is attached — the full interval-by-interval throttle
 trajectory (case, action, coverage, accuracy, rival coverage per
 decision).
@@ -69,6 +70,7 @@ def capture(
             for decision in controller.decisions
         ]
 
+    cdp = core.cdp
     return {
         "result": result,
         "l1": core.l1.stats,
@@ -78,6 +80,11 @@ def capture(
         "bus_transfers": core.bus_transfers,
         "levels": {p.name: p.level for p in core._trained_prefetchers},
         "throttle": trajectory,
+        "cdp_scan": None if cdp is None else (
+            cdp.scanned_blocks,
+            cdp.candidates_seen,
+            cdp.candidates_filtered,
+        ),
     }
 
 

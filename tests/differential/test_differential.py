@@ -7,7 +7,9 @@ final aggressiveness levels, and (where coordinated throttling is
 attached) identical interval-by-interval throttle trajectories.
 Mechanisms are chosen to cover every optimized-path branch: the raw
 kernel, stream training, CDP scans + recursive deferred scans, compiler
-hints, and all three throttling modes.
+hints (per-offset and per-load), the hardware prefetch filter, the
+value-hook and correlation prefetchers that issue through the same
+prefetch path, and all three throttling modes.
 """
 
 import pytest
@@ -31,6 +33,12 @@ MECHANISMS = [
     "ecdp+throttle",   # hints + coordinated throttling (feedback hooks)
     "ecdp+fdp",        # FDP throttling mode
     "gendler",         # selector throttling mode
+    "dbp",             # value-hook issue at load completion
+    "pointer-cache",   # value observer + correlation issue
+    "avd",             # value observer + correlation issue
+    "markov",          # correlation-table issue
+    "grp",             # coarse per-load hint filter on CDP scans
+    "hwfilter",        # hardware filter on CDP issue, used/evicted hooks
 ]
 
 
@@ -86,3 +94,9 @@ def test_capture_reports_nonzero_activity():
     assert snapshot["result"].retired_instructions > 0
     assert snapshot["l2"].misses > 0
     assert snapshot["levels"]  # the stream prefetcher is registered
+    scanned, seen, filtered = capture(
+        "mst",
+        "ecdp",
+        SystemConfig.scaled().with_overrides(engine="fast"),
+    )["cdp_scan"]
+    assert scanned > 0 and seen > 0 and filtered > 0

@@ -19,6 +19,7 @@ from repro.experiments.engine import (
 )
 from repro.errors import BackendConnectError
 from repro.experiments.engine.backends import HostSpec, RemoteBackend
+from repro.experiments.engine.backends import remote as remote_module
 from repro.telemetry import EventTracer
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05)
@@ -155,6 +156,30 @@ class TestHostHealth:
         assert failure.failure.error_type == "BackendConnectError"
         # the bounded retry budget is what guarantees termination
         assert failure.attempts == FAST_RETRY.max_attempts
+
+    def test_failed_health_check_reaps_the_worker(self, monkeypatch):
+        # the session whose ping fails is dropped, so its child process
+        # must be reaped and both pipes closed, not left to the collector
+        spawned = []
+
+        class RecordingTransport(remote_module.StdioTransport):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                spawned.append(self)
+
+        monkeypatch.setattr(remote_module, "StdioTransport",
+                            RecordingTransport)
+        spec = HostSpec("bad", command=("false",))
+        backend = RemoteBackend([spec])
+        backend.bind(deterministic_worker, lambda *a, **k: None, slots=1)
+        try:
+            assert backend._session_for(spec) is None
+        finally:
+            backend.close()
+        (transport,) = spawned
+        assert transport.process.returncode is not None
+        assert transport.process.stdin.closed
+        assert transport.process.stdout.closed
 
     def test_lost_host_cools_down_then_rejoins(self):
         backend = RemoteBackend(

@@ -112,3 +112,42 @@ class TestController:
         dram = make_controller()
         dram.access(0.0, 0x1000, True)
         assert dram.stats.mean_demand_latency == pytest.approx(150.0)
+
+
+class TestFlattenedAccess:
+    """The fast engine's flattened accesses against the composed path."""
+
+    @staticmethod
+    def _state(dram):
+        return (
+            sorted(dram._in_flight),
+            dram.stats,
+            list(dram.banks._busy_until),
+            dram.banks.conflicts,
+            dram.bus._demand_busy_until,
+            dram.bus._any_busy_until,
+            dram.bus.transfers,
+        )
+
+    def test_flattened_accesses_match_access(self):
+        import random
+
+        rng = random.Random(7)
+        composed = make_controller(buffer_size=4)
+        flat = make_controller(buffer_size=4)
+        now = 0.0
+        for __ in range(2000):
+            now += rng.choice((0, 0, 1, 5, 40))
+            block = rng.randrange(64) * 64
+            if rng.random() < 0.5:
+                want = composed.access(now, block, is_demand=True)
+                got = flat.demand_access_fast(now, block)
+            else:
+                want = composed.access(now, block, is_demand=False)
+                got = flat.prefetch_access_fast(now, block)
+            assert got == want
+            assert self._state(flat) == self._state(composed)
+        # the sequence must exercise drops, stalls and bank conflicts
+        assert composed.stats.dropped_prefetches > 0
+        assert composed.stats.buffer_full_stalls > 0
+        assert composed.banks.conflicts > 0
