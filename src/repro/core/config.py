@@ -41,12 +41,10 @@ _POSITIVE_FIELDS = (
 
 
 #: valid simulation engines: the readable object-per-block reference
-#: model, the flat array-backed fast kernel (the default), and the numpy
-#: columnar batch engine (see DESIGN.md, "Engine internals &
-#: performance").  All three produce bit-identical results, enforced by
-#: tests/differential/.  "batch" requires numpy (the optional ``[perf]``
-#: extra).
-ENGINES = ("reference", "fast", "batch")
+#: model and the flat array-backed fast kernel (the default; see
+#: DESIGN.md, "Engine internals & performance").  Both produce
+#: bit-identical results, enforced by tests/differential/.
+ENGINES = ("reference", "fast")
 
 
 @dataclass(frozen=True)
@@ -57,12 +55,10 @@ class SystemConfig:
     #: which core/cache implementation executes the trace.  "fast" (the
     #: default) is the flat-array kernel; "reference" is the original
     #: object-per-access model, kept as the oracle the differential
-    #: suite checks every other engine against; "batch" decodes the
-    #: trace into numpy columns up front and vectorizes the per-op
-    #: derivations (requires numpy).  All three are behavior-identical
-    #: (differential-tested), so this knob trades readability for speed,
-    #: never results.  It is hashed with the rest of the config, so a
-    #: job's key names its engine.
+    #: suite checks the fast engine against.  The two are
+    #: behavior-identical (differential-tested), so this knob trades
+    #: readability for speed, never results.  It is hashed with the
+    #: rest of the config, so a job's key names its engine.
     engine: str = "fast"
 
     # -- core ---------------------------------------------------------------

@@ -15,14 +15,6 @@ Two formats:
 Both round-trip exactly, including dependence edges.  Loading is lazy
 (generators), so multi-million-op traces never fully materialize.
 
-For the batch engine there is a third, columnar representation:
-:class:`TraceArrays` holds the whole trace as five parallel numpy
-arrays (struct-of-arrays), and :func:`load_trace_arrays` decodes a
-binary trace file into it in one ``np.frombuffer`` pass over the
-packed records — no per-record ``iter_unpack`` at all.  numpy is an
-optional dependency (the ``[perf]`` extra); everything else in this
-module works without it.
-
 Corruption is reported as :class:`~repro.errors.TraceFormatError` (a
 ``ValueError`` subclass) carrying the byte offset and record index of the
 first bad record.  Both loaders also accept ``strict=False``, which skips
@@ -127,129 +119,6 @@ def load_trace(path: PathLike, strict: bool = True) -> Iterator[MemOp]:
             decoded = usable // record_size
             offset += usable
             index += decoded
-
-
-def _numpy():
-    """The optional numpy dependency, with an actionable error."""
-    try:
-        import numpy
-    except ImportError as exc:  # pragma: no cover - exercised without numpy
-        raise ImportError(
-            "columnar trace decoding requires numpy; install the [perf] "
-            "extra (pip install repro[perf])"
-        ) from exc
-    return numpy
-
-
-#: numpy view of one packed binary record (matches ``_RECORD`` exactly)
-_NP_RECORD_FIELDS = [
-    ("pc", "<u4"),
-    ("addr", "<u4"),
-    ("flags", "u1"),
-    ("work", "<u4"),
-    ("dep", "<i4"),
-]
-
-
-class TraceArrays:
-    """A whole trace as five parallel (columnar) numpy arrays.
-
-    The batch engine's native input: ``pc``/``addr``/``work``/``dep``
-    are int64 arrays, ``is_load`` a bool array, all of equal length.
-    int64 everywhere keeps arithmetic on the columns exact Python-int
-    arithmetic (no silent uint wraparound for in-memory traces), at
-    8 bytes per field per op.
-
-    Iterating yields :class:`MemOp`\\ s, so a ``TraceArrays`` can be fed
-    to *any* engine — the reference and fast engines just stream it.
-    """
-
-    __slots__ = ("pc", "addr", "is_load", "work", "dep")
-
-    def __init__(self, pc, addr, is_load, work, dep) -> None:
-        n = len(pc)
-        if not (len(addr) == len(is_load) == len(work) == len(dep) == n):
-            raise ValueError("trace columns must have equal length")
-        self.pc = pc
-        self.addr = addr
-        self.is_load = is_load
-        self.work = work
-        self.dep = dep
-
-    def __len__(self) -> int:
-        return len(self.addr)
-
-    def __iter__(self) -> Iterator[MemOp]:
-        for pc, addr, is_load, work, dep in zip(
-            self.pc.tolist(),
-            self.addr.tolist(),
-            self.is_load.tolist(),
-            self.work.tolist(),
-            self.dep.tolist(),
-        ):
-            yield MemOp(pc, addr, is_load, work, dep)
-
-    @classmethod
-    def from_ops(cls, ops: Iterable[MemOp]) -> "TraceArrays":
-        """Decode an in-memory op stream into columns (one pass per field)."""
-        np = _numpy()
-        if not isinstance(ops, (list, tuple)):
-            ops = list(ops)
-        n = len(ops)
-        return cls(
-            np.fromiter((op.pc for op in ops), dtype=np.int64, count=n),
-            np.fromiter((op.addr for op in ops), dtype=np.int64, count=n),
-            np.fromiter((op.is_load for op in ops), dtype=np.bool_, count=n),
-            np.fromiter((op.work for op in ops), dtype=np.int64, count=n),
-            np.fromiter((op.dep for op in ops), dtype=np.int64, count=n),
-        )
-
-
-def load_trace_arrays(path: PathLike, strict: bool = True) -> TraceArrays:
-    """Decode a whole binary trace file into :class:`TraceArrays`.
-
-    One ``np.frombuffer`` view over the packed records replaces the
-    per-chunk ``Struct.iter_unpack`` of :func:`load_trace`; the int64
-    column copies are the only per-op work.  Raises the same
-    :class:`~repro.errors.TraceFormatError`\\ s as the streaming loader
-    (bad magic, truncated tail), and ``strict=False`` likewise salvages
-    the intact prefix of a truncated file.
-    """
-    np = _numpy()
-    data = Path(path).read_bytes()
-    if data[: len(MAGIC)] != MAGIC:
-        raise TraceFormatError(
-            f"{path}: not a repro trace file (bad magic "
-            f"{data[:len(MAGIC)]!r})",
-            path=path,
-            offset=0,
-            record_index=0,
-        )
-    record_size = _RECORD.size
-    body = memoryview(data)[len(MAGIC):]
-    extra = len(body) % record_size
-    if extra:
-        usable = len(body) - extra
-        index = usable // record_size
-        offset = len(MAGIC) + usable
-        message = (
-            f"{path}: truncated trace record {index} at byte offset "
-            f"{offset} ({extra} of {record_size} bytes)"
-        )
-        if strict:
-            raise TraceFormatError(
-                message, path=path, offset=offset, record_index=index
-            )
-        warnings.warn(f"{message}; dropping corrupt tail")
-        body = body[:usable]
-    records = np.frombuffer(body, dtype=np.dtype(_NP_RECORD_FIELDS))
-    return TraceArrays(
-        records["pc"].astype(np.int64),
-        records["addr"].astype(np.int64),
-        (records["flags"] & _FLAG_LOAD).astype(np.bool_),
-        records["work"].astype(np.int64),
-        records["dep"].astype(np.int64),
-    )
 
 
 def save_trace_text(path: PathLike, trace: Iterable[MemOp]) -> int:

@@ -1,10 +1,10 @@
-"""Kernel microbenchmark worker: the three-engine speedup ladder.
+"""Kernel microbenchmark worker: fast-vs-reference engine speedup.
 
 One job cell = one (workload, mechanism, input set).  The worker runs the
-cell under *every* available engine in the same process — pre-materializing
-the trace so only :meth:`Core.run` is timed — and returns JSON-safe
-metrics (ops/sec per engine, the speedup ladder, and whether all engines
-produced bit-identical :class:`~repro.core.stats.CoreResult`\\ s).
+cell under both engines in the same process — pre-materializing the
+trace so only :meth:`Core.run` is timed — and returns JSON-safe metrics
+(ops/sec per engine, the speedup, and whether both engines produced
+bit-identical :class:`~repro.core.stats.CoreResult`\\ s).
 Because the return value is a plain dict, the sweep engine's checkpoint
 journal can snapshot it unchanged, which gives the microbenchmark
 checkpoint-resume for free.
@@ -12,19 +12,12 @@ checkpoint-resume for free.
 Two measurement rules keep the ladder honest on noisy shared machines:
 
 * **Interleaved rounds.**  Engines take turns within each repetition
-  (A, B, C, A, B, C, ...) instead of running all of one engine's
+  (A, B, A, B, ...) instead of running all of one engine's
   repeats back to back, so a slow drift in machine speed lands on every
   engine equally.
 * **Best-of (min over repeats).**  The minimum elapsed time per engine
   is the run least disturbed by the scheduler; ratios of minima compare
   like with like.
-
-The batch engine is timed on a pre-built :class:`TraceArrays` — the
-columnar decode is part of trace materialization, not simulation — but
-the decode cost is measured too and reported as ``batch_decode_seconds``
-so the end-to-end story stays visible.  Without numpy the batch column
-is skipped (reported as ``null``) and the ladder degrades to the
-fast-vs-reference pair.
 
 Lives in the library (not under ``benchmarks/``) because sweep-engine
 workers must be importable by qualified name from child processes.
@@ -42,7 +35,7 @@ import os
 import time
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.core.config import SystemConfig
+from repro.core.config import ENGINES, SystemConfig
 from repro.core.stats import CoreResult
 from repro.experiments.configs import get_mechanism
 from repro.experiments.engine.job import Job
@@ -54,22 +47,6 @@ REPEATS_ENV = "REPRO_KERNEL_REPEATS"
 
 #: default timed repetitions per engine (best-of, to shed scheduler noise)
 DEFAULT_REPEATS = 3
-
-
-def have_batch_engine() -> bool:
-    """Whether the optional numpy dependency (the [perf] extra) exists."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def measured_engines() -> Tuple[str, ...]:
-    """The engines this environment can actually time."""
-    if have_batch_engine():
-        return ("reference", "fast", "batch")
-    return ("reference", "fast")
 
 
 def op_budget() -> Optional[int]:
@@ -89,23 +66,12 @@ def repeats() -> int:
     return max(1, value)
 
 
-def _materialize(instance, budget: Optional[int], engine: str):
-    """The trace exactly as ``core.run`` wants it, plus decode seconds.
-
-    For the batch engine the list of ops is decoded into a columnar
-    :class:`TraceArrays` outside the timed region; the decode cost is
-    returned so callers can report it separately.
-    """
+def _materialize(instance, budget: Optional[int]):
+    """The trace as a list of ops, truncated to *budget* if given."""
     ops = list(instance.trace())
     if budget is not None:
         ops = ops[:budget]
-    if engine != "batch":
-        return ops, len(ops), None
-    from repro.core.tracefile import TraceArrays
-
-    start = time.perf_counter()
-    arrays = TraceArrays.from_ops(ops)
-    return arrays, len(ops), time.perf_counter() - start
+    return ops
 
 
 def time_engine(
@@ -134,7 +100,8 @@ def time_engine(
     n_ops = 0
     for __ in range(max(1, rounds)):
         instance = get_workload(benchmark).build(input_set)
-        ops, n_ops, __decode = _materialize(instance, budget, engine)
+        ops = _materialize(instance, budget)
+        n_ops = len(ops)
         dram = make_dram(cfg, n_cores=1)
         core = build_core(mech, cfg, instance, dram, hint_filter)
         start = time.perf_counter()
@@ -157,10 +124,8 @@ def time_engines(
 ) -> Dict[str, Dict[str, Any]]:
     """Best-of timings for several engines, rounds interleaved.
 
-    Returns ``{engine: {"ops", "seconds", "decode_seconds", "result"}}``
-    where ``seconds`` is the minimum over *rounds* interleaved timed
-    runs and ``decode_seconds`` is the best columnar-decode time (None
-    for the scalar engines).
+    Returns ``{engine: {"ops", "seconds", "result"}}`` where ``seconds``
+    is the minimum over *rounds* interleaved timed runs.
     """
     mech = get_mechanism(mechanism)
     configs = {e: config.with_overrides(engine=e) for e in engines}
@@ -169,22 +134,16 @@ def time_engines(
         for e in engines
     }
     out: Dict[str, Dict[str, Any]] = {
-        e: {"ops": 0, "seconds": float("inf"), "decode_seconds": None,
-            "result": None}
+        e: {"ops": 0, "seconds": float("inf"), "result": None}
         for e in engines
     }
     for __ in range(max(1, rounds)):
         for engine in engines:
             cfg = configs[engine]
             instance = get_workload(benchmark).build(input_set)
-            ops, n_ops, decode = _materialize(instance, budget, engine)
+            ops = _materialize(instance, budget)
             entry = out[engine]
-            entry["ops"] = n_ops
-            if decode is not None and (
-                entry["decode_seconds"] is None
-                or decode < entry["decode_seconds"]
-            ):
-                entry["decode_seconds"] = decode
+            entry["ops"] = len(ops)
             dram = make_dram(cfg, n_cores=1)
             core = build_core(mech, cfg, instance, dram, filters[engine])
             start = time.perf_counter()
@@ -198,50 +157,29 @@ def time_engines(
 
 
 def kernel_bench_worker(job: Job) -> Dict[str, Any]:
-    """Sweep-engine worker: measure every available engine on *job*'s cell."""
-    budget = op_budget()
+    """Sweep-engine worker: time both engines on *job*'s cell."""
     rounds = repeats()
-    engines = measured_engines()
     timings = time_engines(
-        engines,
+        ENGINES,
         job.benchmark,
         job.mechanism,
         job.config,
         input_set=job.input_set,
         profile_input=job.profile_input,
-        budget=budget,
+        budget=op_budget(),
         rounds=rounds,
     )
     reference = timings["reference"]
     fast = timings["fast"]
     n_ops = reference["ops"]
-    results = [timings[e]["result"] for e in engines]
-    payload: Dict[str, Any] = {
+    return {
         "ops": n_ops,
         "repeats": rounds,
-        "engines": list(engines),
+        "engines": list(ENGINES),
         "reference_seconds": reference["seconds"],
         "fast_seconds": fast["seconds"],
         "reference_ops_per_sec": n_ops / reference["seconds"],
         "fast_ops_per_sec": n_ops / fast["seconds"],
         "speedup": reference["seconds"] / fast["seconds"],
-        "identical": all(r == results[0] for r in results[1:]),
+        "identical": reference["result"] == fast["result"],
     }
-    batch = timings.get("batch")
-    if batch is not None:
-        payload.update({
-            "batch_seconds": batch["seconds"],
-            "batch_decode_seconds": batch["decode_seconds"],
-            "batch_ops_per_sec": n_ops / batch["seconds"],
-            "batch_speedup": reference["seconds"] / batch["seconds"],
-            "batch_speedup_vs_fast": fast["seconds"] / batch["seconds"],
-        })
-    else:
-        payload.update({
-            "batch_seconds": None,
-            "batch_decode_seconds": None,
-            "batch_ops_per_sec": None,
-            "batch_speedup": None,
-            "batch_speedup_vs_fast": None,
-        })
-    return payload

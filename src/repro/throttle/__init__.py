@@ -3,7 +3,6 @@ and the FDP / Gendler baselines."""
 
 from repro.throttle.coordinated import (
     CoordinatedThrottle,
-    NoThrottle,
     ThrottleDecision,
     decide_case,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "GendlerSelector",
     "LEVEL_NAMES",
     "MAX_LEVEL",
-    "NoThrottle",
     "PollutionFilter",
     "PrefetchAccuracyBuffer",
     "PrefetcherCounters",

@@ -115,10 +115,3 @@ class CoordinatedThrottle:
                 prefetcher.throttle_up()
             elif decision.action == "down":
                 prefetcher.throttle_down()
-
-
-class NoThrottle:
-    """Null controller: prefetchers stay at their configured level."""
-
-    def attach(self, collector: FeedbackCollector) -> None:
-        collector.on_interval = None

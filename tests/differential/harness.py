@@ -10,17 +10,16 @@ throttling is attached — the full interval-by-interval throttle
 trajectory (case, action, coverage, accuracy, rival coverage per
 decision).
 
-``compare_engines`` produces one snapshot per *available* engine for
-one (workload, mechanism, input set) cell — reference and fast always,
-batch when numpy (the [perf] extra) is importable — and the tests
+``compare_engines`` produces one snapshot per engine (reference and
+fast) for one (workload, mechanism, input set) cell, and the tests
 assert field-by-field equality via :func:`assert_identical`.  Floats
-are compared *exactly*: the optimized engines claim the same arithmetic
-in the same order, so any drift is a bug, not noise.
+are compared *exactly*: the fast engine claims the same arithmetic in
+the same order, so any drift is a bug, not noise.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.core.config import ENGINES, SystemConfig
 from repro.experiments.configs import get_mechanism
@@ -88,15 +87,6 @@ def capture(
     }
 
 
-def available_engines() -> Tuple[str, ...]:
-    """Every engine this environment can run (batch needs numpy)."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return tuple(e for e in ENGINES if e != "batch")
-    return tuple(ENGINES)
-
-
 def compare_engines(
     benchmark: str,
     mechanism: str,
@@ -104,7 +94,7 @@ def compare_engines(
     config: Optional[SystemConfig] = None,
     profile_input: str = "train",
 ) -> Dict[str, Dict[str, Any]]:
-    """One snapshot per available engine for one cell, keyed by engine."""
+    """One snapshot per engine for one cell, keyed by engine."""
     base = config or SystemConfig.scaled()
     return {
         engine: capture(
@@ -114,7 +104,7 @@ def compare_engines(
             input_set=input_set,
             profile_input=profile_input,
         )
-        for engine in available_engines()
+        for engine in ENGINES
     }
 
 

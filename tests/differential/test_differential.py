@@ -1,10 +1,10 @@
 """The differential matrix: every engine == reference engine, exactly.
 
-Every cell of (workload x mechanism) runs under every available engine
-— reference, fast, and (with numpy) batch — on the ``test`` input set
-and must produce identical CoreResults, cache / DRAM / queue counters,
-final aggressiveness levels, and (where coordinated throttling is
-attached) identical interval-by-interval throttle trajectories.
+Every cell of (workload x mechanism) runs under both engines — reference
+and fast — on the ``test`` input set and must produce identical
+CoreResults, cache / DRAM / queue counters, final aggressiveness levels,
+and (where coordinated throttling is attached) identical
+interval-by-interval throttle trajectories.
 Mechanisms are chosen to cover every optimized-path branch: the raw
 kernel, stream training, CDP scans + recursive deferred scans, compiler
 hints (per-offset and per-load), the hardware prefetch filter, the
@@ -14,11 +14,10 @@ prefetch path, and all three throttling modes.
 
 import pytest
 
-from repro.core.config import SystemConfig
+from repro.core.config import ENGINES, SystemConfig
 from repro.experiments.runner import run_benchmark
 from tests.differential.harness import (
     assert_identical,
-    available_engines,
     capture,
     compare_engines,
 )
@@ -78,7 +77,7 @@ def test_run_benchmark_respects_engine_field():
             input_set="test",
             use_cache=False,
         )
-        for engine in available_engines()
+        for engine in ENGINES
     }
     reference = results["reference"]
     assert all(result == reference for result in results.values())

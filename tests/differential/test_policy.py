@@ -11,7 +11,7 @@ Two equalities anchor the refactor:
   this comparison never goes vacuous.
 
 * **Cross-engine identity.**  Every other policy (static, pid, qlearn
-  with its seeded exploration) must agree across reference/fast/batch
+  with its seeded exploration) must agree across reference and fast
   exactly like the rest of the simulator, which is what licenses
   deriving the qlearn RNG seed from config identity *minus* the engine
   field.
@@ -20,12 +20,11 @@ Two equalities anchor the refactor:
 import pytest
 
 import repro.experiments.runner as runner
-from repro.core.config import SystemConfig
+from repro.core.config import ENGINES, SystemConfig
 from repro.throttle.coordinated import CoordinatedThrottle
 from repro.throttle.levels import ThrottleThresholds
 from tests.differential.harness import (
     assert_identical,
-    available_engines,
     capture,
     compare_engines,
 )
@@ -37,6 +36,13 @@ INTERVAL_HEAVY = SystemConfig.scaled().with_overrides(
 )
 
 
+class _LegacyThrottle(CoordinatedThrottle):
+    """The legacy controller under the runner's controller interface."""
+
+    def install(self, core, dram) -> None:
+        """No-op: the legacy controller reads no system-tier state."""
+
+
 def _legacy_controller_for(throttled, config):
     """The pre-policy wiring, reconstructed for comparison."""
     if len(throttled) < 2:
@@ -46,13 +52,13 @@ def _legacy_controller_for(throttled, config):
         a_low=config.a_low,
         a_high=config.a_high,
     )
-    return CoordinatedThrottle(throttled, thresholds)
+    return _LegacyThrottle(throttled, thresholds)
 
 
 @pytest.mark.parametrize("workload", ["mst", "health"])
 def test_table3_policy_bit_identical_to_legacy(workload, monkeypatch):
     """The tentpole invariant: extraction changed nothing, anywhere."""
-    for engine in available_engines():
+    for engine in ENGINES:
         config = INTERVAL_HEAVY.with_overrides(engine=engine)
         new = capture(workload, "ecdp+throttle", config)
         monkeypatch.setattr(runner, "controller_for",

@@ -12,9 +12,8 @@ heartbeat thread, and watchdog kill paths are the things under test),
 so they are module-level functions, as in test_engine.py.
 
 Also here: the torn-write sweep (journal truncated at every byte offset
-of its final record must still load the intact prefix), the scalar /
-columnar trace-loader salvage agreement, and a hypothesis round-trip
-fuzz of the CRC journal framing.
+of its final record must still load the intact prefix) and a
+hypothesis round-trip fuzz of the CRC journal framing.
 """
 
 import json
@@ -556,54 +555,6 @@ class TestRealEngineChaos:
         report = run_quiet(resumer, self._jobs(sim_engine), resume=True)
         assert report.exit_code == 0
         assert chaos.checkpoint.content_hashes() == clean_hashes
-
-
-class TestTraceLoaderSalvageAgreement:
-    """The scalar and columnar loaders must salvage identically."""
-
-    def make_trace(self, path, ops=100):
-        from repro.core.instruction import MemOp
-        from repro.core.tracefile import save_trace
-
-        trace = [
-            MemOp(
-                pc=0x400000 + 4 * i,
-                addr=0x10000 + 64 * i,
-                is_load=(i % 3 != 0),
-                work=i % 7,
-                dep=(i - 2 if i % 5 == 0 and i >= 2 else -1),
-            )
-            for i in range(ops)
-        ]
-        save_trace(path, trace)
-        return trace
-
-    @pytest.mark.parametrize("drop", [1, 5, 16])
-    def test_truncated_tail_salvaged_identically(self, tmp_path, drop):
-        np = pytest.importorskip("numpy")  # noqa: F841 (perf extra)
-        from repro.core.tracefile import load_trace, load_trace_arrays
-
-        path = tmp_path / "trace.bin"
-        full = self.make_trace(path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-drop])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            scalar = list(load_trace(path, strict=False))
-            columnar = list(load_trace_arrays(path, strict=False))
-        assert scalar == columnar
-        # both salvage exactly the intact prefix, nothing invented
-        assert scalar == full[: len(scalar)]
-        assert len(scalar) < len(full)
-
-    def test_intact_file_agrees_exactly(self, tmp_path):
-        pytest.importorskip("numpy")
-        from repro.core.tracefile import load_trace, load_trace_arrays
-
-        path = tmp_path / "trace.bin"
-        full = self.make_trace(path)
-        assert list(load_trace(path, strict=False)) == full
-        assert list(load_trace_arrays(path, strict=False)) == full
 
 
 # -- hypothesis fuzz of the journal framing ---------------------------------

@@ -73,6 +73,14 @@ class TestExitCodes:
         assert flag in captured.err
         assert "Traceback" not in captured.err
 
+    def test_batch_engine_is_a_usage_error(self, workdir, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(SWEEP_ARGS + ["--engine", "batch"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'batch'" in err
+        assert "'reference'" in err and "'fast'" in err
+
     def test_unknown_mechanism_exits_two(self, workdir, capsys):
         assert main(SWEEP_ARGS[:1] + ["--mechanisms", "warp-drive"]) == 2
         assert "warp-drive" in capsys.readouterr().err

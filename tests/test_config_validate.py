@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.config import SystemConfig
+from repro.core.config import ENGINES, SystemConfig
 from repro.errors import ConfigError, ReproError
+from repro.experiments.runner import core_class_for
 
 
 def test_presets_are_valid_and_chainable():
@@ -85,6 +86,28 @@ def test_multiple_problems_reported_together():
     # the message names every field, so the one-line CLI error is actionable
     for name in ("l1_size", "stream_count", "a_low"):
         assert name in str(info.value)
+
+
+def test_unknown_engine_rejected():
+    config = SystemConfig.scaled().with_overrides(engine="warp")
+    with pytest.raises(ConfigError) as info:
+        config.validate()
+    assert "engine" in info.value.fields
+
+
+def test_batch_engine_rejected_naming_the_two_engines():
+    config = SystemConfig.scaled().with_overrides(engine="batch")
+    assert ENGINES == ("reference", "fast")
+    with pytest.raises(ConfigError) as info:
+        config.validate()
+    assert "'batch'" in info.value.fields["engine"]
+    for engine in ENGINES:
+        assert repr(engine) in str(info.value)
+    # the runner refuses it too, naming the same choices
+    with pytest.raises(ConfigError) as info:
+        core_class_for(config)
+    for engine in ENGINES:
+        assert repr(engine) in str(info.value)
 
 
 def test_config_error_is_repro_error_with_usage_exit_code():

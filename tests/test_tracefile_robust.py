@@ -49,10 +49,11 @@ class TestBinaryCorruption:
         with pytest.raises(ValueError):  # backwards-compatible catch
             list(load_trace(path))
 
-    def test_non_strict_salvages_intact_prefix(self, tmp_path):
+    @pytest.mark.parametrize("drop", [1, 3, 5, 16])
+    def test_non_strict_salvages_intact_prefix(self, tmp_path, drop):
         path = tmp_path / "t.trace"
         save_trace(path, sample_trace())
-        path.write_bytes(path.read_bytes()[:-3])
+        path.write_bytes(path.read_bytes()[:-drop])
         with pytest.warns(UserWarning, match="truncated"):
             ops = list(load_trace(path, strict=False))
         assert ops == sample_trace()[:2]
