@@ -1,16 +1,15 @@
-"""Sweep fan-out throughput — local vs subprocess backend.
+"""Sweep fan-out throughput on the local fork pool.
 
 Times the same content-addressed job matrix through the execution
-engine under each in-machine executor backend (DESIGN.md §8) at
-``--jobs`` 1/2/4, reporting jobs/minute per cell.  Per-job simulation
-time is small (``input_set="test"``), so the numbers expose what the
-bench is after: the dispatch + transport overhead each backend adds and
-how it scales with slot count — not simulator speed (that is
-``bench_perf_kernel.py``'s job).
+engine at ``--jobs`` 1/2/4, reporting jobs/minute per cell.  Per-job
+simulation time is small (``input_set="test"``), so the numbers expose
+what the bench is after: the dispatch overhead of a forked worker per
+attempt and how it scales with slot count — not simulator speed (that
+is ``bench_perf_kernel.py``'s job).
 
-Every run journals to a throwaway checkpoint, and the bench asserts the
-cross-backend differential on the side: all cells at all slot counts
-must converge to one identical set of journal content hashes.
+Every run journals to a throwaway checkpoint, and the bench asserts a
+differential on the side: all cells at all slot counts must converge to
+one identical set of journal content hashes.
 
 Two entry points:
 
@@ -38,13 +37,9 @@ from repro.experiments.engine import (
     Job,
     RetryPolicy,
 )
-from repro.experiments.engine.backends import create_backend
 from repro.experiments.reporting import format_table
 from repro.workloads.registry import pointer_intensive_names
 
-#: both in-machine backends; `remote` needs an inventory, so it is
-#: benched by its tests, not here
-BACKENDS = ("local", "subprocess")
 JOBS_GRID = (1, 2, 4)
 MECHANISMS = ("baseline", "cdp")
 INPUT_SET = "test"
@@ -59,25 +54,17 @@ def job_matrix(benchmarks: int) -> List[Job]:
     ]
 
 
-def _run_once(
-    backend_name: str, slots: int, matrix: List[Job], scratch: Path
-) -> Dict[str, Any]:
+def _run_once(slots: int, matrix: List[Job], scratch: Path) -> Dict[str, Any]:
     """One timed sweep; returns seconds + the journal's content hashes."""
-    journal = CheckpointJournal(
-        scratch / f"{backend_name}-j{slots}.jsonl"
-    )
+    journal = CheckpointJournal(scratch / f"local-j{slots}.jsonl")
     engine = ExecutionEngine(
         jobs=slots,
         timeout=300.0,
         retry=RetryPolicy(max_attempts=2),
         checkpoint=journal,
-        backend=create_backend(backend_name),
     )
     start = time.perf_counter()
-    try:
-        report = engine.run(matrix)
-    finally:
-        engine.close()
+    report = engine.run(matrix)
     seconds = time.perf_counter() - start
     return {
         "seconds": seconds,
@@ -89,63 +76,42 @@ def _run_once(
 
 def compute(
     benchmarks: int = 6,
-    backends=BACKENDS,
     jobs_grid=JOBS_GRID,
     repeats: int = 2,
 ) -> Dict[str, Any]:
-    """Run the grid; best-of *repeats* per (backend, slots) cell."""
+    """Run the grid; best-of *repeats* per slot count."""
     matrix = job_matrix(benchmarks)
     cells: List[Dict[str, Any]] = []
     hash_sets: List[Any] = []
     with tempfile.TemporaryDirectory(prefix="bench-fanout-") as tmp:
         scratch = Path(tmp)
-        for backend_name in backends:
-            for slots in jobs_grid:
-                best: Optional[Dict[str, Any]] = None
-                for repeat in range(repeats):
-                    run_dir = scratch / f"r{repeat}"
-                    run_dir.mkdir(exist_ok=True)
-                    run = _run_once(backend_name, slots, matrix, run_dir)
-                    if best is None or run["seconds"] < best["seconds"]:
-                        best = run
-                hash_sets.append(best.pop("hashes"))
-                cells.append(
-                    {
-                        "backend": backend_name,
-                        "jobs": slots,
-                        "n_jobs": len(matrix),
-                        "repeats": repeats,
-                        "jobs_per_minute": (
-                            60.0 * len(matrix) / best["seconds"]
-                        ),
-                        **best,
-                    }
-                )
+        for slots in jobs_grid:
+            best: Optional[Dict[str, Any]] = None
+            for repeat in range(repeats):
+                run_dir = scratch / f"r{repeat}"
+                run_dir.mkdir(exist_ok=True)
+                run = _run_once(slots, matrix, run_dir)
+                if best is None or run["seconds"] < best["seconds"]:
+                    best = run
+            hash_sets.append(best.pop("hashes"))
+            cells.append(
+                {
+                    "jobs": slots,
+                    "n_jobs": len(matrix),
+                    "repeats": repeats,
+                    "jobs_per_minute": 60.0 * len(matrix) / best["seconds"],
+                    **best,
+                }
+            )
 
-    def rate(backend_name: str, slots: int) -> Optional[float]:
-        for cell in cells:
-            if (cell["backend"], cell["jobs"]) == (backend_name, slots):
-                return cell["jobs_per_minute"]
-        return None
-
-    serial_local = rate("local", jobs_grid[0])
+    rates = {cell["jobs"]: cell["jobs_per_minute"] for cell in cells}
+    widest = rates[max(jobs_grid)]
     headline = {
-        "local_jobs_per_minute": rate("local", max(jobs_grid)),
-        "subprocess_jobs_per_minute": rate("subprocess", max(jobs_grid)),
-        "local_scaling": (
-            rate("local", max(jobs_grid)) / serial_local
-            if serial_local
-            else None
-        ),
-        "subprocess_overhead_ratio": (
-            rate("local", max(jobs_grid))
-            / rate("subprocess", max(jobs_grid))
-            if rate("subprocess", max(jobs_grid))
-            else None
-        ),
+        "local_jobs_per_minute": widest,
+        "local_scaling": widest / rates[jobs_grid[0]],
         "all_ok": all(cell["failed"] == 0 for cell in cells),
-        # the differential: every backend x slots cell journals the
-        # same content-addressed records
+        # the differential: every slot count journals the same
+        # content-addressed records
         "all_journals_identical": bool(hash_sets)
         and all(hashes == hash_sets[0] for hashes in hash_sets),
     }
@@ -168,7 +134,6 @@ def render(payload: Dict[str, Any]) -> str:
     for cell in payload["cells"]:
         rows.append(
             (
-                cell["backend"],
                 str(cell["jobs"]),
                 str(cell["n_jobs"]),
                 f"{cell['seconds']:.2f}",
@@ -182,16 +147,14 @@ def render(payload: Dict[str, Any]) -> str:
             "[headline]",
             "",
             "",
-            "",
-            f"local {headline['local_jobs_per_minute']:,.0f} vs "
-            f"subprocess {headline['subprocess_jobs_per_minute']:,.0f}",
+            f"{headline['local_scaling']:.2f}x scaling",
             "identical" if headline["all_journals_identical"] else "MISMATCH",
         )
     )
     return format_table(
-        ["backend", "--jobs", "matrix", "seconds", "jobs/min", "failed"],
+        ["--jobs", "matrix", "seconds", "jobs/min", "failed"],
         rows,
-        title="Sweep fan-out throughput — backend dispatch overhead",
+        title="Sweep fan-out throughput — local dispatch overhead",
     )
 
 
@@ -210,7 +173,7 @@ def bench_sweep_fanout(benchmark, show):
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="sweep fan-out throughput: local vs subprocess backend"
+        description="sweep fan-out throughput on the local fork pool"
     )
     repo_root = Path(__file__).resolve().parent.parent
     parser.add_argument(

@@ -13,9 +13,6 @@ Examples::
     python -m repro sweep --inject-faults plan.json --resume
     python -m repro serve --port 8713 --jobs 4
     python -m repro sweep --server http://127.0.0.1:8713
-    python -m repro sweep --backend subprocess --jobs 4
-    python -m repro sweep --backend remote --hosts hosts.toml --jobs 8
-    python -m repro worker --ping
     python -m repro journal verify .repro-checkpoints/sweep-abc.jsonl
     python -m repro cost
 
@@ -42,7 +39,6 @@ from repro.cost.hardware import baseline_costs, proposal_cost
 from repro.errors import ReproError, UsageError
 from repro.experiments.configs import MECHANISMS, get_mechanism
 from repro.experiments.engine import (
-    BACKEND_NAMES,
     CheckpointJournal,
     ExecutionEngine,
     FailedResult,
@@ -53,7 +49,6 @@ from repro.experiments.engine import (
     QuarantinePolicy,
     RetryPolicy,
     WatchdogPolicy,
-    create_backend,
     is_failed,
 )
 from repro.experiments.metrics import (
@@ -262,12 +257,6 @@ def cmd_sweep(args) -> int:
     if args.server:
         # the engine — and with it fault injection, telemetry recording,
         # and the checkpoint journal — lives in the server process
-        if args.backend != "local" or args.hosts:
-            raise UsageError(
-                "--backend/--hosts configure the engine, which runs "
-                "server-side; start the server with "
-                "`repro serve --backend ... --hosts HOSTS` instead"
-            )
         if args.inject_faults:
             raise UsageError(
                 "--inject-faults configures the engine, which runs "
@@ -341,19 +330,15 @@ def cmd_sweep(args) -> int:
             quarantine=QuarantinePolicy(max_crashes=args.max_crashes),
             fault_plan=fault_plan,
             tracer=tracer,
-            backend=create_backend(args.backend, hosts=args.hosts),
         )
-        try:
-            with GracefulDrain() as drain:
-                report = engine.run(
-                    jobs,
-                    resume=args.resume,
-                    progress=progress,
-                    drain=drain,
-                    retry_poisoned=args.retry_poisoned,
-                )
-        finally:
-            engine.close()
+        with GracefulDrain() as drain:
+            report = engine.run(
+                jobs,
+                resume=args.resume,
+                progress=progress,
+                drain=drain,
+                retry_poisoned=args.retry_poisoned,
+            )
     cells = report.by_cell()
     _not_run = JobFailure(
         "NotRun", "sweep interrupted before this cell ran", transient=True
@@ -378,8 +363,8 @@ def cmd_sweep(args) -> int:
         """(executor, host, queue seconds) for the export row, or nulls.
 
         Stays null for cells resumed from journals written before
-        backends existed, and for FAILED cells (the export layer drops
-        provenance on failures regardless).
+        provenance was recorded, and for FAILED cells (the export layer
+        drops provenance on failures regardless).
         """
         outcome = cells.get((benchmark, mechanism))
         if outcome is None:
@@ -588,7 +573,6 @@ def cmd_serve(args) -> int:
         watchdog=watchdog,
         quarantine=QuarantinePolicy(max_crashes=args.max_crashes),
         fault_plan=fault_plan,
-        backend=create_backend(args.backend, hosts=args.hosts),
     )
     server = SimulationServer(
         engine,
@@ -603,35 +587,7 @@ def cmd_serve(args) -> int:
         telemetry_dir=telemetry_dir,
         events_path=events_path,
     )
-    try:
-        return serve_forever(server)
-    finally:
-        engine.close()
-
-
-def cmd_worker(args) -> int:
-    """Speak the stdio job protocol — or self-check that this host can."""
-    if args.serve_stdio:
-        from repro.experiments.engine.worker import serve_stdio
-
-        return serve_stdio()
-    # --ping: spawn one worker exactly the way a backend would and
-    # round-trip a health check — the one-command install check for a
-    # prospective remote host
-    from repro.experiments.engine.backends.stdio import (
-        StdioTransport,
-        child_environment,
-        worker_argv,
-    )
-
-    transport = StdioTransport(worker_argv(), env=child_environment())
-    try:
-        pong = transport.ping(args.timeout)
-    finally:
-        transport.shutdown()
-    info = {key: pong.get(key) for key in ("host", "pid", "python")}
-    print(json.dumps(info, sort_keys=True))
-    return 0
+    return serve_forever(server)
 
 
 def _journal_at(path: str) -> CheckpointJournal:
@@ -952,17 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of a local engine; identical cells are "
                         "served from the server's content-addressed "
                         "result cache without re-execution")
-    p.add_argument("--backend", default="local", choices=list(BACKEND_NAMES),
-                   help="executor backend: 'local' fork-pool workers "
-                        "(default), 'subprocess' isolated worker "
-                        "processes over pipes, 'remote' workers on the "
-                        "hosts in --hosts; every backend shares the "
-                        "same checkpoint journal, so a sweep can resume "
-                        "on a different backend than it started on")
-    p.add_argument("--hosts", metavar="FILE", default=None,
-                   help="host inventory (TOML on Python 3.11+, or JSON) "
-                        "for --backend remote: per-host command, python, "
-                        "capacity, tags")
     common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -1016,32 +961,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-faults", metavar="PLAN.json", default=None,
                    help="chaos testing: inject worker/journal/engine "
                         "faults into the service's engine")
-    p.add_argument("--backend", default="local", choices=list(BACKEND_NAMES),
-                   help="executor backend the service's engine dispatches "
-                        "through (default local)")
-    p.add_argument("--hosts", metavar="FILE", default=None,
-                   help="host inventory file for --backend remote")
     p.add_argument("--debug", action="store_true",
                    help="print full tracebacks instead of one-line errors")
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "worker",
-        help="run as an executor-backend worker (used by the subprocess "
-             "and remote backends; not normally run by hand)",
-    )
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--serve-stdio", action="store_true",
-                      help="serve the line-delimited JSON job protocol on "
-                           "stdin/stdout until EOF or a shutdown request")
-    mode.add_argument("--ping", action="store_true",
-                      help="spawn one worker the way a backend would and "
-                           "health-check it — verifies this host's "
-                           "install before adding it to a --hosts file")
-    p.add_argument("--timeout", type=float, default=10.0, metavar="SECONDS",
-                   help="--ping: how long to wait for the pong "
-                        "(default 10)")
-    p.set_defaults(func=cmd_worker)
 
     p = sub.add_parser(
         "journal",

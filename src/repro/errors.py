@@ -187,10 +187,6 @@ class PartitionedAckError(BackendError):
     transient = True
 
 
-class HostsFileError(UsageError):
-    """A ``--hosts`` inventory file is malformed or unreadable."""
-
-
 class ServiceError(ReproError):
     """A job-service request failed (transport, protocol, or server side).
 

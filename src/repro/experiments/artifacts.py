@@ -4,7 +4,7 @@ ECDP's profiling pass over the ``train`` input yields the same
 :class:`~repro.compiler.pointer_group.PointerGroupProfile` for every
 hint-driven cell of a benchmark (ecdp, ecdp+throttle, ecdp+fdp, grp).
 Sweep workers are separate processes, so an in-memory memo dies with
-each cell; these artifacts let every later cell — on any backend, and in
+each cell; these artifacts let every later cell — in this sweep, and in
 later sweeps over the same checkpoint directory — read the profile back
 instead of rebuilding the train workload and profiling it again.
 

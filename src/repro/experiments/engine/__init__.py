@@ -39,16 +39,7 @@ Quick tour::
         print(failure.job.label, failure.failure.reason)
 """
 
-from repro.experiments.engine.backends import (
-    BACKEND_NAMES,
-    ExecutorBackend,
-    HostSpec,
-    LocalBackend,
-    RemoteBackend,
-    SubprocessBackend,
-    create_backend,
-    load_hosts,
-)
+from repro.experiments.engine.backends import LocalBackend, create_backend
 from repro.experiments.engine.checkpoint import (
     CheckpointJournal,
     JournalSalvage,
@@ -80,17 +71,11 @@ from repro.experiments.engine.worker import default_worker
 
 __all__ = [
     "BACKEND_FAULTS",
-    "BACKEND_NAMES",
     "CheckpointJournal",
     "ExecutionEngine",
-    "ExecutorBackend",
     "FAULT_KINDS",
-    "HostSpec",
     "LocalBackend",
-    "RemoteBackend",
-    "SubprocessBackend",
     "create_backend",
-    "load_hosts",
     "FailedResult",
     "FaultPlan",
     "FaultSpec",

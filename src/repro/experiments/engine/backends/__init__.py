@@ -1,98 +1,25 @@
-"""Pluggable executor backends: where sweep jobs physically run.
+"""The executor transport: where sweep jobs physically run.
 
-The engine's scheduling policy is backend-independent; these modules
-supply the transport:
-
-* :class:`LocalBackend` — forked worker processes on this machine (the
-  default; bit-identical to the pre-backend engine);
-* :class:`SubprocessBackend` — isolated ``repro worker --serve-stdio``
-  interpreters over pipes, the transport template;
-* :class:`RemoteBackend` — the same stdio workers on other machines,
-  from a ``--hosts`` TOML/JSON inventory, with health-checked sticky
-  work-stealing dispatch.
-
-All backends feed one shared CRC checkpoint journal, so the
-content-hashed job key dedups across machines and a killed fan-out
-resumes from any backend mix.
+One transport ships, :class:`LocalBackend` — a forked worker process per
+attempt on this machine.  The engine's scheduling policy (retry,
+watchdog, quarantine, journaling, fault delivery) lives in
+:mod:`repro.experiments.engine.executor`; this package only starts,
+polls and kills attempts.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Optional, Sequence, Union
-
 from repro.errors import UsageError
-from repro.experiments.engine.backends.base import (
-    AttemptHandle,
-    ExecutorBackend,
-    resolve_worker,
-    worker_reference,
-)
-from repro.experiments.engine.backends.hosts import (
-    HostSpec,
-    hosts_from_dict,
-    load_hosts,
-)
 from repro.experiments.engine.backends.local import LocalBackend
-from repro.experiments.engine.backends.remote import RemoteBackend
-from repro.experiments.engine.backends.stdio import (
-    StdioTransport,
-    SubprocessBackend,
-)
-
-#: registry of backend names (the ``--backend`` vocabulary)
-BACKEND_NAMES = ("local", "subprocess", "remote")
 
 
-def create_backend(
-    name: str,
-    slots: Optional[int] = None,
-    hosts: Union[None, str, Sequence[HostSpec]] = None,
-    start_method: Optional[str] = None,
-) -> ExecutorBackend:
-    """Build a backend by registry name.
-
-    *hosts* is required for ``remote``: an inventory file path or a
-    pre-parsed list of :class:`HostSpec`.  *slots* defaults to the
-    engine's ``--jobs`` at bind time (remote capacity always comes from
-    the inventory instead).
-    """
+def create_backend(name: str) -> LocalBackend:
+    """Build the backend registered as *name*; only ``local`` exists."""
     if name == "local":
-        if hosts:
-            raise UsageError("--hosts only applies to --backend remote")
-        return LocalBackend(slots=slots, start_method=start_method)
-    if name == "subprocess":
-        if hosts:
-            raise UsageError("--hosts only applies to --backend remote")
-        return SubprocessBackend(slots=slots)
-    if name == "remote":
-        if not hosts:
-            raise UsageError(
-                "--backend remote needs --hosts FILE (a TOML/JSON host "
-                "inventory)"
-            )
-        specs = (
-            load_hosts(hosts) if isinstance(hosts, (str, Path)) else hosts
-        )
-        return RemoteBackend(list(specs))
+        return LocalBackend()
     raise UsageError(
-        f"unknown backend {name!r}; valid backends: "
-        f"{', '.join(BACKEND_NAMES)}"
+        f"unknown backend {name!r}; the only backend is 'local'"
     )
 
 
-__all__ = [
-    "AttemptHandle",
-    "BACKEND_NAMES",
-    "ExecutorBackend",
-    "HostSpec",
-    "LocalBackend",
-    "RemoteBackend",
-    "StdioTransport",
-    "SubprocessBackend",
-    "create_backend",
-    "hosts_from_dict",
-    "load_hosts",
-    "resolve_worker",
-    "worker_reference",
-]
+__all__ = ["LocalBackend", "create_backend"]

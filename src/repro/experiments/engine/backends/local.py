@@ -1,11 +1,15 @@
-"""The local backend: today's fork pool behind the backend protocol.
+"""The local backend: one forked worker process per job attempt.
 
-One worker *process per attempt*, connected to the parent by a one-way
-pipe, multiplexed together with every process sentinel — exactly the
-plumbing the engine used before backends existed, moved here verbatim so
-the default path stays bit-identical.  Because children are forked, the
-worker callable travels by memory copy: lambdas and closures work, no
-import dance required.
+Each attempt gets its own process, connected to the parent by a one-way
+pipe; :meth:`LocalBackend.poll` multiplexes every pipe together with
+every process sentinel.  Because children are forked, the worker
+callable travels by memory copy: lambdas and closures work, no import
+dance required.  The backend owns only this plumbing — start an
+attempt, stream its heartbeats back, deliver exactly one outcome
+message (or observe the process dying), kill it on request.
+
+Outcome messages are the worker shim's wire shape: ``("ok", result)``
+or ``("error", {"type", "message", "transient"})``.
 """
 
 from __future__ import annotations
@@ -16,67 +20,53 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_ready
 from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import BackendError
-from repro.experiments.engine.backends.base import (
-    AttemptHandle,
-    ExecutorBackend,
-    Outcome,
-)
 from repro.experiments.engine.job import Job
+
+#: an outcome message in the worker-shim wire shape
+Outcome = Tuple[str, object]
 
 
 @dataclass
-class LocalHandle(AttemptHandle):
-    """One forked worker process and its result pipe."""
+class LocalHandle:
+    """One in-flight attempt: its worker process and result pipe."""
 
+    job: Job
+    attempt: int
+    #: monotonic launch time (deadline and duration are measured from it)
+    started: float = 0.0
+    #: monotonic time of the last heartbeat (0.0 = none seen yet)
+    last_beat: float = 0.0
     process: object = field(default=None, repr=False)
     conn: object = field(default=None, repr=False)
 
 
-class LocalBackend(ExecutorBackend):
-    """Crash-isolated worker processes on this machine (the default)."""
+class LocalBackend:
+    """Crash-isolated worker processes on this machine."""
 
+    #: the provenance ``executor`` value and ``dispatch`` event field
     name = "local"
 
-    def __init__(
-        self, slots: Optional[int] = None, start_method: Optional[str] = None
-    ):
-        super().__init__(slots)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self.start_method = start_method
-        self._ctx = multiprocessing.get_context(start_method)
-        self._worker = None
-
-    def bind(self, worker, emit, slots: int) -> None:
-        super().bind(worker, emit, slots)
-        self._worker = worker
-
-    def describe(self) -> dict:
-        return {
-            "backend": self.name,
-            "slots": self.slots,
-            "start_method": self.start_method,
-        }
-
-    # -- protocol ----------------------------------------------------------
+    def __init__(self):
+        try:
+            self._ctx = multiprocessing.get_context("fork")
+        except ValueError:  # a platform without fork
+            self._ctx = multiprocessing.get_context("spawn")
 
     def submit(
         self,
+        worker,
         job: Job,
         attempt: int,
         fault=None,
         heartbeat: Optional[float] = None,
     ) -> LocalHandle:
+        """Start one attempt of *job* running *worker* in a new process."""
         from repro.experiments.engine.worker import worker_shim
 
-        if self._worker is None:
-            raise BackendError("local backend used before bind()")
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=worker_shim,
-            args=(send_conn, self._worker, job, fault, heartbeat),
+            args=(send_conn, worker, job, fault, heartbeat),
             daemon=True,
         )
         process.start()
@@ -92,6 +82,12 @@ class LocalBackend(ExecutorBackend):
     def poll(
         self, handles: Sequence[LocalHandle], timeout: float
     ) -> List[Tuple[LocalHandle, Outcome]]:
+        """Wait up to *timeout* for activity; return settled attempts.
+
+        Handles that only heartbeat get their ``last_beat`` refreshed and
+        are not returned; a silently-dead worker is returned with a
+        synthesized ``WorkerCrashError`` outcome.
+        """
         if not handles:
             if timeout > 0:
                 time.sleep(timeout)
@@ -107,10 +103,11 @@ class LocalBackend(ExecutorBackend):
         return settled
 
     def cancel(self, handle: LocalHandle) -> None:
+        """Kill one in-flight attempt (idempotent, never raises)."""
         self._kill(handle.process)
         self._close(handle.conn)
 
-    # -- plumbing (moved from the pre-backend executor) --------------------
+    # -- plumbing ----------------------------------------------------------
 
     def _poll_one(self, handle: LocalHandle) -> Optional[Outcome]:
         """The attempt's outcome message, or None if still running."""

@@ -51,10 +51,10 @@ DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
 ARTIFACTS_DIRNAME = "artifacts"
 
 #: record fields that legitimately differ between two runs of the same
-#: job (wall-clock, retry history, which backend/host happened to run
+#: job (wall-clock, retry history, which executor/host happened to run
 #: it); everything else is *content* — the chaos convergence property
 #: compares records with these removed, and it is exactly why the same
-#: matrix run on different executor backends hashes identical
+#: matrix run by different engines or resumes hashes identical
 VOLATILE_FIELDS = (
     "duration",
     "attempts",
@@ -370,10 +370,10 @@ class CheckpointJournal:
 
         Concurrent writers are safe: every record takes an exclusive
         ``flock`` on the journal for the single ``write`` + flush +
-        fsync, so two engines (any backend mix) appending to one shared
-        journal can interleave *records* but never tear them.  Each call
-        opens a fresh descriptor, so the per-fd lock serializes threads
-        and processes alike.
+        fsync, so two engines appending to one shared journal can
+        interleave *records* but never tear them.  Each call opens a
+        fresh descriptor, so the per-fd lock serializes threads and
+        processes alike.
         """
         line = frame_record(journal_record(outcome))
         try:

@@ -1,23 +1,19 @@
-"""Sweep executor: crash isolation, timeouts, retries, resume — anywhere.
+"""Sweep executor: crash isolation, timeouts, retries, resume.
 
-Scheduling *policy* lives here; the *transport* that physically runs an
-attempt is a pluggable :class:`~repro.experiments.engine.backends.
-ExecutorBackend` — the default :class:`~repro.experiments.engine.
-backends.LocalBackend` forks a worker process per attempt (today's
-behavior, bit-identical), the ``subprocess`` backend spawns isolated
-``repro worker --serve-stdio`` interpreters, and the ``remote`` backend
-drives the same workers on other machines over ssh.  Whatever carries
-the attempt, every failure shape lands in the same settle path:
+Scheduling *policy* lives here; the transport that physically runs an
+attempt is the :class:`~repro.experiments.engine.backends.LocalBackend`,
+which forks a worker process per attempt.  Every failure shape lands in
+the same settle path:
 
 * the worker reports — ``("ok", result)`` or ``("error", info)``;
-* the worker dies silently (segfault, ``os._exit``, OOM kill, dead ssh
-  connection) → :class:`WorkerCrashError`;
+* the worker dies silently (segfault, ``os._exit``, OOM kill) →
+  :class:`WorkerCrashError`;
 * the worker exceeds its wall-clock deadline → cancelled →
   :class:`JobTimeoutError`;
 * under a :class:`~repro.experiments.engine.supervise.WatchdogPolicy`,
   the worker stops heartbeating — wedged, not merely slow — and is
   cancelled past the no-progress deadline → :class:`WorkerStalledError`;
-* the backend itself fails — a dispatch that reaches no worker
+* an injected transport fault — a dispatch that reaches no worker
   (:class:`BackendConnectError`), a host lost mid-job
   (:class:`HostLostError`), an acknowledgement eaten by a partition
   (:class:`PartitionedAckError`) — all transient, all retried.
@@ -29,19 +25,19 @@ QuarantinePolicy` (journaled FAILED-poison, excluded from resume
 retries).  Every terminal outcome is appended to the checkpoint journal
 before the next job is scheduled, so at any kill point the journal
 describes exactly the completed prefix of the sweep — and because job
-identity is content-hashed, one journal can be shared by any mix of
-backends across any number of resumes.  A failed journal write (disk
+identity is content-hashed, one journal can be shared by any number of
+engines across any number of resumes.  A failed journal write (disk
 full) degrades to a warning, never an aborted sweep.
 
 The executor is also the chaos harness: a
 :class:`~repro.experiments.engine.faults.FaultPlan` injects worker,
-journal, *and backend* faults at deterministic (job, attempt)
+journal, and transport faults at deterministic (job, attempt)
 coordinates, and a :class:`~repro.experiments.engine.supervise.
 GracefulDrain` turns SIGTERM/SIGINT into a checkpointed stop (finish
 in-flight work, journal it, return an ``interrupted`` report).
 
 With a checkpoint journal, every dispatched job also carries the
-``artifacts/`` directory beside it, so cells on any backend share one
+``artifacts/`` directory beside it, so every cell of a sweep shares one
 persisted train profile per benchmark
 (:mod:`repro.experiments.artifacts`).
 """
@@ -57,11 +53,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import CheckpointError, SweepInterrupted
-from repro.experiments.engine.backends import (
-    ExecutorBackend,
-    create_backend,
-)
-from repro.experiments.engine.backends.local import LocalBackend
+from repro.experiments.engine.backends import LocalBackend, create_backend
+from repro.experiments.engine.backends.local import LocalHandle
 from repro.experiments.engine.checkpoint import (
     CheckpointJournal,
     JournalSalvage,
@@ -106,7 +99,7 @@ class _Running:
     """A live attempt: its backend handle plus scheduling state."""
 
     entry: _Attempt
-    handle: object
+    handle: LocalHandle
     deadline: Optional[float]
     #: a resolved backend fault to deliver on this attempt (chaos)
     backend_fault: object = None
@@ -180,13 +173,12 @@ class ExecutionEngine:
         retry: Optional[RetryPolicy] = None,
         checkpoint: Optional[CheckpointJournal] = None,
         worker: Optional[Callable[[Job], object]] = None,
-        start_method: Optional[str] = None,
         seed: int = 0x5EED,
         watchdog: Optional[WatchdogPolicy] = None,
         quarantine: Optional[QuarantinePolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         tracer=None,
-        backend: Union[None, str, ExecutorBackend] = None,
+        backend: Union[None, str, LocalBackend] = None,
     ):
         self.jobs = max(1, int(jobs))
         self.timeout = timeout
@@ -200,19 +192,17 @@ class ExecutionEngine:
         #: (retry/quarantine/watchdog/journal/dispatch) land here
         self.tracer = tracer
         if backend is None:
-            backend = LocalBackend(start_method=start_method)
+            backend = LocalBackend()
         elif isinstance(backend, str):
-            backend = create_backend(backend, start_method=start_method)
-        self.backend: ExecutorBackend = backend
-        self.backend.bind(self.worker, self._emit, self.jobs)
+            backend = create_backend(backend)
+        self.backend = backend
         self._rng = random.Random(seed)
         self._t0 = 0.0
 
     # -- public ------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the backend's transport resources (worker pools)."""
-        self.backend.close()
+        """Nothing to release: :meth:`run` reaps every worker it starts."""
 
     def run(
         self,
@@ -327,7 +317,7 @@ class ExecutionEngine:
 
     def _launch(self, pending, running, report, progress) -> None:
         for _ in range(len(pending)):
-            if len(running) >= self.backend.capacity():
+            if len(running) >= self.jobs:
                 return
             now = time.monotonic()
             entry = pending.popleft()
@@ -370,7 +360,6 @@ class ExecutionEngine:
                         },
                     ),
                     duration=0.0,
-                    host=None,
                     pending=pending,
                     report=report,
                     progress=progress,
@@ -381,6 +370,7 @@ class ExecutionEngine:
             )
             try:
                 handle = self.backend.submit(
+                    self.worker,
                     self._dispatched(entry.job),
                     entry.attempt,
                     fault=worker_fault,
@@ -402,7 +392,6 @@ class ExecutionEngine:
                         },
                     ),
                     duration=0.0,
-                    host=None,
                     pending=pending,
                     report=report,
                     progress=progress,
@@ -412,7 +401,6 @@ class ExecutionEngine:
                 "dispatch",
                 entry.job.label,
                 backend=self.backend.name,
-                host=handle.host,
                 attempt=entry.attempt,
             )
             deadline = (
@@ -441,10 +429,6 @@ class ExecutionEngine:
                 delay = wake - time.monotonic()
                 if delay > 0:  # everything is backing off
                     time.sleep(min(delay, _MAX_TICK))
-                elif self.backend.capacity() <= 0:
-                    # nowhere to launch (every host lost): idle a tick
-                    # while health cooldowns run down
-                    time.sleep(_MAX_TICK / 4)
             return
         settled: List[Tuple[_Running, tuple]] = []
         polling: List[_Running] = []
@@ -453,13 +437,11 @@ class ExecutionEngine:
                 live.backend_fault is not None
                 and live.backend_fault.kind == "host-loss"
             ):
-                # the host dies mid-job: kill the attempt through the
-                # backend (remote backends also mark the host lost)
-                self.backend.lose_host(live.handle)
+                # the host dies mid-job: kill the attempt
+                self.backend.cancel(live.handle)
                 self._emit(
                     "host-lost",
                     live.entry.job.label,
-                    host=live.handle.host,
                     attempt=live.entry.attempt,
                 )
                 settled.append(
@@ -525,7 +507,6 @@ class ExecutionEngine:
                 live.entry,
                 outcome,
                 duration=duration,
-                host=live.handle.host,
                 pending=pending,
                 report=report,
                 progress=progress,
@@ -589,7 +570,7 @@ class ExecutionEngine:
     # -- outcome handling --------------------------------------------------
 
     def _settle(
-        self, entry, outcome, duration, host, pending, report, progress
+        self, entry, outcome, duration, pending, report, progress
     ) -> None:
         kind, payload = outcome
         if kind == "ok":
@@ -597,7 +578,7 @@ class ExecutionEngine:
                 entry.job, "ok", result=payload,
                 attempts=entry.attempt, duration=duration,
                 backoff_total=entry.backoff_total, crashes=entry.crashes,
-                executor=self.backend.name, host=host,
+                executor=self.backend.name,
                 queue_seconds=round(entry.queue_total, 6),
             )
         else:
@@ -651,7 +632,7 @@ class ExecutionEngine:
                 entry.job, "failed", failure=failure,
                 attempts=entry.attempt, duration=duration,
                 backoff_total=entry.backoff_total, crashes=entry.crashes,
-                executor=self.backend.name, host=host,
+                executor=self.backend.name,
                 queue_seconds=round(entry.queue_total, 6),
             )
         report.results[entry.job.key()] = result

@@ -15,12 +15,11 @@ them at the two places a sweep can break:
 * **``abort``** stops the scheduler loop right after the matching job is
   journaled, simulating ``kill -9`` at a deterministic point;
 * **backend faults** (``connect-fail``, ``host-loss``,
-  ``partitioned-ack``) are applied by the executor around the
-  :class:`~repro.experiments.engine.backends.ExecutorBackend` protocol —
-  a dispatch that never reaches a worker, a host killed mid-flight, a
-  result whose acknowledgement the partition ate.  They attack the
-  *transport*, so the same plan exercises local pools, subprocess pools,
-  and remote hosts identically.
+  ``partitioned-ack``) are applied by the executor around the local
+  worker pool — a dispatch that never reaches a worker, a host killed
+  mid-flight, a result whose acknowledgement the partition ate.  They
+  attack the *transport* rather than the job, and settle as the
+  transient :class:`~repro.errors.BackendError` subclasses they name.
 
 Every fault fires at most once per (fault, job, attempt) coordinate, so
 a plan is idempotent within a run; plans serialize to JSON
@@ -56,11 +55,11 @@ WORKER_FAULTS = ("crash", "hang", "slow-start", "unpicklable")
 JOURNAL_FAULTS = ("torn-write", "corrupt-write", "enospc")
 #: faults applied to the scheduler itself
 ENGINE_FAULTS = ("abort",)
-#: faults applied to the executor backend carrying the job: the dispatch
-#: fails to reach a worker (``connect-fail``), the host dies mid-flight
+#: faults applied to the transport carrying the job: the dispatch fails
+#: to reach a worker (``connect-fail``), the host dies mid-flight
 #: (``host-loss``), or the result acknowledgement is lost to a partition
-#: (``partitioned-ack``).  Delivered by the executor around the backend
-#: protocol, so every backend — local pool included — is attackable.
+#: (``partitioned-ack``).  Delivered by the executor around the local
+#: worker pool.
 BACKEND_FAULTS = ("connect-fail", "host-loss", "partitioned-ack")
 
 #: the full catalog, in documentation order

@@ -146,10 +146,12 @@ class JobResult:
     crashes: int = 0
     #: True when this outcome was replayed from a checkpoint journal
     resumed: bool = False
-    #: which executor backend ran the job ("local", "subprocess",
-    #: "remote"); None for results rehydrated from pre-backend journals
+    #: which executor backend ran the job ("local"; journals written by
+    #: earlier releases may also say "subprocess" or "remote"); None for
+    #: results rehydrated from pre-backend journals
     executor: Optional[str] = None
-    #: host the successful attempt ran on (remote backends; None local)
+    #: host the successful attempt ran on, as recorded by journals from
+    #: earlier releases' remote backend; None for local runs
     host: Optional[str] = None
     #: seconds the job sat queued beyond scheduled retry backoff
     queue_seconds: Optional[float] = None

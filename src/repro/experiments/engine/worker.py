@@ -19,22 +19,12 @@ failure would.
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import socket
-import sys
 import threading
-import time
 from typing import Any, Dict, Optional
 
 from repro.errors import is_transient
-from repro.experiments.engine.faults import (
-    FaultSpec,
-    Unpicklable,
-    apply_worker_fault,
-)
-from repro.experiments.engine.job import Job, snapshot_metrics
+from repro.experiments.engine.faults import Unpicklable, apply_worker_fault
+from repro.experiments.engine.job import Job
 from repro.experiments.engine.supervise import start_heartbeat
 
 
@@ -159,176 +149,3 @@ def _send(conn, message, lock=None, stop_heartbeat=None) -> None:
     except Exception:
         pass
 
-
-# -- stdio serving (subprocess/remote backends) ------------------------------
-#
-# `repro worker --serve-stdio` turns this process into a persistent job
-# server speaking line-delimited JSON on stdin/stdout: the child end of
-# the subprocess backend's pipes, and (through ssh) of the remote
-# backend's connections.  One request shape per line:
-#
-#     {"op": "ping", "id": N}
-#     {"op": "run",  "id": N, "job": <submission>, "worker": "mod:qual",
-#      "fault": <spec|null>, "heartbeat": <seconds|null>,
-#      "telemetry_dir": <dir|null>, "artifact_dir": <dir|null>}
-#     {"op": "shutdown", "id": N}
-#
-# and responses `{"id": N, "event": "pong"|"heartbeat"|"outcome"|...}`.
-# EOF on stdin ends the loop, so workers can never outlive the transport
-# that spawned them.  Job identity crosses the wire as a *submission*
-# (preset + config overrides, exactly the service's format) and the
-# outcome echoes the recomputed job key — the parent rejects a mismatch,
-# which catches version skew between dispatching and executing hosts.
-
-
-def serve_stdio(stdin=None, stdout=None) -> int:
-    """Serve jobs over stdin/stdout until EOF or a shutdown request."""
-    in_stream = stdin if stdin is not None else sys.stdin
-    proto_out = stdout if stdout is not None else sys.stdout
-    if stdout is None:
-        # stray prints from simulation code must not corrupt the
-        # protocol stream — they go to stderr with everything else
-        sys.stdout = sys.stderr
-    lock = threading.Lock()
-
-    def write_line(payload: Dict[str, Any]) -> bool:
-        try:
-            proto_out.write(
-                json.dumps(payload, sort_keys=True, default=repr) + "\n"
-            )
-            proto_out.flush()
-            return True
-        except Exception:
-            return False  # parent went away; the loop will see EOF
-
-    def send(payload: Dict[str, Any]) -> bool:
-        with lock:
-            return write_line(payload)
-
-    for line in in_stream:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            request = json.loads(line)
-        except ValueError as error:
-            send({"event": "error", "error": f"bad request line: {error}"})
-            continue
-        if not isinstance(request, dict):
-            send({"event": "error", "error": "request must be a JSON object"})
-            continue
-        op = request.get("op")
-        rid = request.get("id")
-        if op == "ping":
-            send(
-                {
-                    "event": "pong",
-                    "id": rid,
-                    "pid": os.getpid(),
-                    "host": socket.gethostname(),
-                    "python": platform.python_version(),
-                }
-            )
-        elif op == "shutdown":
-            send({"event": "bye", "id": rid})
-            return 0
-        elif op == "run":
-            _serve_one(request, write_line, lock)
-        else:
-            send({"event": "error", "id": rid, "error": f"unknown op {op!r}"})
-    return 0
-
-
-def _serve_one(request: Dict[str, Any], write_line, lock) -> None:
-    """Run one stdio job request; mirrors :func:`worker_shim` exactly.
-
-    The same fault-delivery, heartbeat-locking, and untransferable-result
-    semantics as the fork-pool shim, so an attempt behaves identically
-    whichever transport carried it.
-    """
-    rid = request.get("id")
-    stop = threading.Event()
-
-    def emit(payload: Dict[str, Any], final: bool = False) -> bool:
-        with lock:
-            if final:
-                stop.set()  # no beats may trail the outcome
-            elif stop.is_set():
-                return False
-            return write_line(payload)
-
-    started = time.monotonic()
-    try:
-        from repro.experiments.engine.backends.base import resolve_worker
-        from repro.service.protocol import job_from_submission
-
-        job = job_from_submission(
-            request["job"],
-            telemetry_dir=request.get("telemetry_dir"),
-            artifact_dir=request.get("artifact_dir"),
-        )
-        worker = resolve_worker(request.get("worker"))
-        fault = None
-        if request.get("fault") is not None:
-            fault = FaultSpec.from_dict(request["fault"])
-        interval = request.get("heartbeat")
-        if interval:
-
-            def beat_loop() -> None:
-                seq = 0
-                while not stop.wait(float(interval)):
-                    seq += 1
-                    if not emit(
-                        {"id": rid, "event": "heartbeat", "seq": seq}
-                    ):
-                        return
-
-            threading.Thread(
-                target=beat_loop, name="repro-heartbeat", daemon=True
-            ).start()
-        if fault is not None:
-            apply_worker_fault(fault, stop)
-        result = worker(job)
-        if fault is not None and fault.kind == "unpicklable":
-            # same terminal failure the fork shim reports when pickling
-            # the poisoned result fails
-            emit(
-                {
-                    "id": rid,
-                    "event": "outcome",
-                    "status": "error",
-                    "error": {
-                        "type": "JobError",
-                        "message": (
-                            "result not transferable: "
-                            "injected: result not picklable"
-                        ),
-                        "transient": False,
-                    },
-                },
-                final=True,
-            )
-            return
-        emit(
-            {
-                "id": rid,
-                "event": "outcome",
-                "status": "ok",
-                "key": job.key(),
-                "metrics": snapshot_metrics(result),
-                "duration": round(time.monotonic() - started, 6),
-            },
-            final=True,
-        )
-    except BaseException as error:  # the barrier: report, don't escape
-        emit(
-            {
-                "id": rid,
-                "event": "outcome",
-                "status": "error",
-                "error": error_info(error),
-            },
-            final=True,
-        )
-    finally:
-        stop.set()

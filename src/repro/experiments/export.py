@@ -70,9 +70,11 @@ def result_record(
     delayed it); they stay null for runs outside the sweep engine.
 
     ``executor``, ``host``, and ``queue_seconds`` are execution
-    provenance: which backend ran the cell, on which host, and how long
-    it sat queued for a free slot.  They stay null for runs outside the
-    sweep engine, for journals written before backends existed, and —
+    provenance: which backend ran the cell (``local``; older journals
+    may say ``subprocess`` or ``remote``, with the ``host`` that ran
+    it), and how long it sat queued for a free slot.  They stay null
+    for runs outside the sweep engine, for journals written before
+    provenance was recorded, and —
     deliberately — for FAILED rows, where no attempt is *the* one that
     produced the cell.
 

@@ -1,9 +1,10 @@
-"""Asyncio HTTP/JSON job server: the sweep engine as a backend.
+"""Asyncio HTTP/JSON job server: the sweep engine as a service.
 
 One long-running process owns an :class:`~repro.experiments.engine.
-ExecutionEngine` and its checkpoint journal; clients submit jobs over
-HTTP and the engine's existing machinery — crash isolation, retries,
-watchdog, quarantine, fault injection, graceful drain — executes them.
+ExecutionEngine`, its local worker pool and its checkpoint journal;
+clients submit jobs over HTTP and the engine's existing machinery —
+crash isolation, retries, watchdog, quarantine, fault injection,
+graceful drain — executes them.
 Everything rides on stdlib ``asyncio``: no web framework, no new
 dependencies.
 

@@ -1,54 +1,29 @@
-"""Executor-backend tests: transport plurality, one shared journal.
+"""Executor-transport tests: the local pool, one shared journal.
 
-The acceptance property of the backend subsystem: the *same* matrix run
-through the local fork pool, through isolated subprocess workers, or
-through any interrupted mix of the two, converges to per-job journal
-records with identical content hashes.  Everything here drives real
-child processes (for the subprocess backend, real ``python -m repro
-worker --serve-stdio`` children), so the workers are module-level
-functions a fresh interpreter can re-import.
+Transport faults must be absorbed by the retry budget within one run;
+two engines appending to one journal must never tear it; execution
+provenance (``executor``/``host``/``queue_seconds``) must round-trip
+through export rows and journal records; and the service client's 429
+retry must stay bounded.  Everything here drives real forked workers.
 """
 
-import io
-import json
-import subprocess
-import sys
 import threading
-import time
 
 import pytest
 
-from repro.errors import (
-    BackendError,
-    HostsFileError,
-    ServiceBusyError,
-    SweepInterrupted,
-    UsageError,
-)
+from repro.errors import ServiceBusyError, UsageError
 from repro.experiments.engine import (
     BACKEND_FAULTS,
-    BACKEND_NAMES,
     CheckpointJournal,
     ExecutionEngine,
     FaultPlan,
     FaultSpec,
     Job,
+    ResultSnapshot,
     RetryPolicy,
     create_backend,
-    default_worker,
     journal_record,
 )
-from repro.experiments.engine.backends import (
-    HostSpec,
-    LocalBackend,
-    RemoteBackend,
-    SubprocessBackend,
-    hosts_from_dict,
-    load_hosts,
-    resolve_worker,
-    worker_reference,
-)
-from repro.experiments.engine.worker import serve_stdio
 from repro.experiments.export import result_record
 from repro.service.client import ServiceClient
 from repro.telemetry import EventTracer
@@ -65,208 +40,41 @@ def deterministic_worker(job):
     }
 
 
-def make_engine(tmp_path, backend, journal_name="sweep.jsonl", **overrides):
+def make_engine(tmp_path, **overrides):
     settings = dict(
         jobs=2,
         timeout=30.0,
         retry=FAST_RETRY,
-        checkpoint=CheckpointJournal(tmp_path / journal_name),
+        checkpoint=CheckpointJournal(tmp_path / "sweep.jsonl"),
         worker=deterministic_worker,
-        backend=backend,
     )
     settings.update(overrides)
     return ExecutionEngine(**settings)
 
 
-def matrix():
-    return [
-        Job(benchmark, mechanism, input_set="test")
-        for benchmark in ("alpha", "beta", "gamma")
-        for mechanism in ("m1", "m2")
-    ]
-
-
-def content_hashes(journal: CheckpointJournal):
-    """key -> content hash over the journal's non-volatile fields."""
-    return journal.content_hashes()
-
-
 class TestBackendFactory:
-    def test_catalog(self):
-        assert BACKEND_NAMES == ("local", "subprocess", "remote")
-
-    def test_names_construct(self):
-        assert isinstance(create_backend("local"), LocalBackend)
-        assert isinstance(create_backend("subprocess"), SubprocessBackend)
-        remote = create_backend("remote", hosts=[HostSpec("a")])
-        assert isinstance(remote, RemoteBackend)
-
     def test_unknown_backend_is_a_usage_error(self):
         with pytest.raises(UsageError, match="unknown backend"):
             create_backend("carrier-pigeon")
 
-    def test_remote_requires_hosts(self):
-        with pytest.raises(UsageError, match="--hosts"):
-            create_backend("remote")
 
-    def test_hosts_only_apply_to_remote(self):
-        with pytest.raises(UsageError, match="--backend remote"):
-            create_backend("local", hosts=[HostSpec("a")])
-
-
-class TestWorkerReference:
-    def test_module_level_worker_round_trips(self):
-        reference, _root = worker_reference(deterministic_worker)
-        assert resolve_worker(reference) is deterministic_worker
-
-    def test_default_worker_resolves_from_none(self):
-        assert resolve_worker(None) is default_worker
-
-    def test_lambda_fails_fast(self):
-        # a fresh interpreter could never re-import it; binding must
-        # reject it before any job is dispatched
-        with pytest.raises(BackendError):
-            worker_reference(lambda job: None)
-
-
-class TestHostsFiles:
-    def test_json_hosts_file(self, tmp_path):
-        path = tmp_path / "hosts.json"
-        path.write_text(json.dumps({
-            "hosts": {
-                "zeta": {"capacity": 2, "tags": ["fast"]},
-                "alpha": {"python": "python3.11"},
-            }
-        }))
-        hosts = load_hosts(path)
-        # deterministic order: sorted by name (sticky dispatch depends
-        # on a stable inventory order)
-        assert [h.name for h in hosts] == ["alpha", "zeta"]
-        assert hosts[1].capacity == 2
-        assert hosts[1].tags == ("fast",)
-        assert hosts[0].python == "python3.11"
-        # no explicit command -> ssh-style transport to the host name
-        assert hosts[0].worker_argv()[0] == "ssh"
-
-    @pytest.mark.skipif(
-        sys.version_info < (3, 11), reason="tomllib is 3.11+"
-    )
-    def test_toml_hosts_file(self, tmp_path):
-        path = tmp_path / "hosts.toml"
-        path.write_text(
-            '[hosts.one]\ncapacity = 3\n\n'
-            '[hosts.two]\npython = "python3"\n'
-        )
-        hosts = load_hosts(path)
-        assert [h.name for h in hosts] == ["one", "two"]
-        assert hosts[0].capacity == 3
-
-    def test_malformed_hosts_reject(self, tmp_path):
-        for payload in (
-            {},  # no hosts table
-            {"hosts": {}},  # empty inventory
-            {"hosts": {"a": {"capacity": 0}}},  # capacity must be >= 1
-            {"hosts": {"a": {"flavour": "salt"}}},  # unknown field
-            {"hosts": {"a": {"command": 7}}},  # command not str/list
-        ):
-            with pytest.raises(HostsFileError):
-                hosts_from_dict(payload)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(HostsFileError):
-            load_hosts(tmp_path / "nope.json")
-
-
-class TestCrossBackendDifferential:
-    """The subsystem's acceptance criterion, as an automated test."""
-
-    def test_local_and_subprocess_journals_content_hash_equal(
-        self, tmp_path
-    ):
-        jobs = matrix()
-        local = make_engine(tmp_path, "local", "local.jsonl")
-        try:
-            report = local.run(jobs)
-        finally:
-            local.close()
-        assert report.exit_code == 0
-        assert all(r.executor == "local" for r in report.ok)
-
-        spawned = make_engine(tmp_path, "subprocess", "sub.jsonl")
-        try:
-            report = spawned.run(jobs)
-        finally:
-            spawned.close()
-        assert report.exit_code == 0
-        assert all(r.executor == "subprocess" for r in report.ok)
-        assert all(r.queue_seconds is not None for r in report.ok)
-
-        local_hashes = content_hashes(
-            CheckpointJournal(tmp_path / "local.jsonl")
-        )
-        sub_hashes = content_hashes(
-            CheckpointJournal(tmp_path / "sub.jsonl")
-        )
-        assert len(local_hashes) == len(jobs)
-        assert local_hashes == sub_hashes
-
-    def test_killed_fanout_resumes_across_backend_mix(self, tmp_path):
-        """Start on subprocess, die mid-sweep, finish on local."""
-        jobs = matrix()
-        # an uninterrupted local run is the reference result set
-        reference = make_engine(tmp_path, "local", "ref.jsonl")
-        try:
-            assert reference.run(jobs).exit_code == 0
-        finally:
-            reference.close()
-
-        # phase 1: subprocess backend, killed right after beta/m1 lands
-        shared = tmp_path / "shared.jsonl"
-        first = make_engine(
-            tmp_path, "subprocess", "shared.jsonl",
-            fault_plan=FaultPlan([FaultSpec("abort", job="beta/m1")]),
-        )
-        try:
-            with pytest.raises(SweepInterrupted):
-                first.run(jobs)
-        finally:
-            first.close()
-        done_before = set(CheckpointJournal(shared).load())
-        assert 0 < len(done_before) < len(jobs)
-
-        # phase 2: a *local* engine resumes the same journal
-        second = make_engine(tmp_path, "local", "shared.jsonl")
-        try:
-            finished = second.run(jobs, resume=True)
-        finally:
-            second.close()
-        assert finished.exit_code == 0
-        assert {r.job.key() for r in finished.resumed} == done_before
-        # provenance survives the resume round-trip
-        by_key = {r.job.key(): r for r in finished.ok}
-        for key in done_before:
-            assert by_key[key].executor == "subprocess"
-
-        assert content_hashes(CheckpointJournal(shared)) == content_hashes(
-            CheckpointJournal(tmp_path / "ref.jsonl")
-        )
-
-
-class TestBackendFaultsOnSubprocess:
-    """The transport fault catalog, delivered to a real stdio backend."""
+class TestTransportFaults:
+    """The transport fault catalog, delivered around the local pool."""
 
     @pytest.mark.parametrize("kind", sorted(BACKEND_FAULTS))
     def test_fault_converges_in_run(self, tmp_path, kind):
         tracer = EventTracer()
         engine = make_engine(
-            tmp_path, "subprocess",
+            tmp_path,
             fault_plan=FaultPlan([FaultSpec(kind, job="beta/m1")]),
             tracer=tracer,
         )
-        try:
-            report = engine.run(matrix())
-        finally:
-            engine.close()
+        jobs = [
+            Job(benchmark, mechanism, input_set="test")
+            for benchmark in ("alpha", "beta", "gamma")
+            for mechanism in ("m1", "m2")
+        ]
+        report = engine.run(jobs)
         # the fault burned one attempt; the retry budget absorbed it
         assert report.exit_code == 0
         hit = {r.job.label: r for r in report.ok}["beta/m1"]
@@ -281,16 +89,12 @@ class TestBackendFaultsOnSubprocess:
 
 
 class TestConcurrentJournalWriters:
-    @pytest.mark.parametrize("backend", ["local", "subprocess"])
-    def test_two_engines_one_journal_no_torn_records(
-        self, tmp_path, backend
-    ):
+    def test_two_engines_one_journal_no_torn_records(self, tmp_path):
         """Two engines appending to one journal file must not tear it.
 
-        This is the distributed topology in miniature: several dispatch
-        processes, one shared content-addressed journal.  The flock
-        around each append serializes whole records, so a concurrent
-        run leaves every line CRC-clean.
+        Several dispatch processes, one shared content-addressed
+        journal.  The flock around each append serializes whole records,
+        so a concurrent run leaves every line CRC-clean.
         """
         path = tmp_path / "shared.jsonl"
         half_a = [Job(b, m, input_set="test")
@@ -303,7 +107,7 @@ class TestConcurrentJournalWriters:
             engine = ExecutionEngine(
                 jobs=2, timeout=30.0, retry=FAST_RETRY,
                 checkpoint=CheckpointJournal(path),
-                worker=deterministic_worker, backend=backend,
+                worker=deterministic_worker,
             )
             try:
                 report = engine.run(jobs)
@@ -331,23 +135,27 @@ class TestConcurrentJournalWriters:
 
 class TestProvenanceExport:
     def test_ok_rows_carry_provenance_columns(self, tmp_path):
-        engine = make_engine(tmp_path, "subprocess")
+        engine = make_engine(tmp_path)
         job = Job("alpha", "m1", input_set="test")
         try:
             report = engine.run([job])
         finally:
             engine.close()
         outcome = report.ok[0]
+        # the worker returns a bare metrics dict; export reads it through
+        # the same snapshot surface a journal replay rehydrates
         row = result_record(
-            "alpha", "m1", outcome.result,
+            "alpha", "m1", ResultSnapshot(outcome.result),
             executor=outcome.executor, host=outcome.host,
             queue_seconds=outcome.queue_seconds,
         )
-        assert row["executor"] == "subprocess"
+        assert row["executor"] == "local"
+        assert row["host"] is None
         assert row["queue_seconds"] is not None
         # journal records round-trip the same columns
         record = journal_record(outcome)
-        assert record["executor"] == "subprocess"
+        assert record["executor"] == "local"
+        assert "host" not in record  # a local run names no host
         assert "queue_seconds" in record
 
     def test_failed_rows_keep_provenance_null(self):
@@ -366,7 +174,7 @@ class TestProvenanceExport:
     def test_pre_backend_journals_export_null_provenance(self, tmp_path):
         # a journal written before the backend era has no provenance
         # fields; replay must surface None, not invent values
-        engine = make_engine(tmp_path, "local")
+        engine = make_engine(tmp_path)
         job = Job("alpha", "m1", input_set="test")
         try:
             report = engine.run([job])
@@ -384,7 +192,7 @@ class TestProvenanceExport:
             "".join(frame_record(record) for record in stripped)
         )
 
-        resumed_engine = make_engine(tmp_path, "local")
+        resumed_engine = make_engine(tmp_path)
         try:
             resumed = resumed_engine.run([job], resume=True)
         finally:
@@ -394,57 +202,6 @@ class TestProvenanceExport:
         assert replayed.executor is None
         assert replayed.host is None
         assert replayed.queue_seconds is None
-
-
-class TestStdioProtocol:
-    def test_ping_run_shutdown_round_trip(self):
-        job = Job("alpha", "m1", input_set="test")
-        from repro.service.protocol import submission_from_job
-
-        reference, _ = worker_reference(deterministic_worker)
-        requests = "\n".join(json.dumps(r) for r in (
-            {"op": "ping", "id": 1},
-            {"op": "run", "id": 2, "job": submission_from_job(job),
-             "worker": reference, "fault": None, "heartbeat": None,
-             "telemetry_dir": None},
-            {"op": "nonsense", "id": 3},
-            {"op": "shutdown", "id": 4},
-        )) + "\n"
-        out = io.StringIO()
-        code = serve_stdio(stdin=io.StringIO(requests), stdout=out)
-        assert code == 0
-        events = [json.loads(line) for line in out.getvalue().splitlines()]
-        by_event = {e["event"]: e for e in events}
-        assert by_event["pong"]["id"] == 1
-        outcome = by_event["outcome"]
-        assert outcome["status"] == "ok"
-        # the executing side recomputed the content-hashed identity
-        assert outcome["key"] == job.key()
-        assert outcome["metrics"]["ipc"] == deterministic_worker(job)["ipc"]
-        assert "unknown op" in by_event["error"]["error"]
-        assert by_event["bye"]["id"] == 4
-
-    def test_eof_ends_the_loop(self):
-        out = io.StringIO()
-        assert serve_stdio(stdin=io.StringIO(""), stdout=out) == 0
-        assert out.getvalue() == ""
-
-    def test_worker_ping_cli(self):
-        from repro.experiments.engine.backends.stdio import (
-            child_environment,
-        )
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "worker", "--ping"],
-            capture_output=True, text=True, timeout=60,
-            env=child_environment(),
-        )
-        assert proc.returncode == 0, proc.stderr
-        info = json.loads(proc.stdout)
-        assert info["python"].startswith(
-            f"{sys.version_info[0]}.{sys.version_info[1]}"
-        )
-        assert isinstance(info["pid"], int)
 
 
 class TestClientBusyRetry:

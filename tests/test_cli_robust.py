@@ -81,6 +81,32 @@ class TestExitCodes:
         assert "invalid choice: 'batch'" in err
         assert "'reference'" in err and "'fast'" in err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("backend", "subprocess"), ("hosts", "h.json")]
+    )
+    def test_removed_transport_flags_exit_two(
+        self, workdir, capsys, flag, value
+    ):
+        # the local fork pool is the only transport: no flag selects one
+        with pytest.raises(SystemExit) as info:
+            main(SWEEP_ARGS + [f"--{flag}", value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: --{flag} {value}" in err
+
+    def test_worker_subcommand_is_gone(self, workdir, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["worker", "--ping"])
+        assert info.value.code == 2
+        assert "invalid choice: 'worker'" in capsys.readouterr().err
+
+    def test_non_local_backend_is_a_usage_error(self):
+        from repro.errors import UsageError
+        from repro.experiments.engine import create_backend
+
+        with pytest.raises(UsageError, match="'local'"):
+            create_backend("subprocess")
+
     def test_unknown_mechanism_exits_two(self, workdir, capsys):
         assert main(SWEEP_ARGS[:1] + ["--mechanisms", "warp-drive"]) == 2
         assert "warp-drive" in capsys.readouterr().err

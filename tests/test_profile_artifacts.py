@@ -4,8 +4,7 @@ Lookup order is memory, then disk, then compute; a computed profile is
 written back.  Damage of any kind is counted as ``rejected`` and
 recomputed, never served; artifacts from other sources are misses; and
 the sweep engine routes every dispatched job to the ``artifacts/``
-directory beside its journal, on any backend, without changing a single
-journal record.
+directory beside its journal without changing a single journal record.
 """
 
 from __future__ import annotations
@@ -211,12 +210,15 @@ class TestEngineRouting:
         assert list(tmp_path.rglob("*")) == []
 
 
-def test_subprocess_sweep_reads_local_artifacts(tmp_path):
-    """A subprocess-backend sweep reads the profiles a local sweep wrote.
+def test_second_sweep_reads_first_sweeps_artifacts(tmp_path):
+    """A second sweep over one directory reads the first sweep's profiles.
 
-    Every miss is written back through a rename, which replaces the
-    file; so artifacts left untouched (same inode, same mtime) mean no
-    cell of the second sweep profiled anything.
+    Each cell runs in its own forked worker, whose in-memory profile
+    memo dies with it, so only the disk artifacts can carry a profile
+    from one sweep to the next.  Every miss is written back through a
+    rename, which replaces the file; so artifacts left untouched (same
+    inode, same mtime) mean no cell of the second sweep profiled
+    anything.
     """
     jobs = [
         Job(benchmark, mechanism, CFG, input_set="test")
@@ -225,21 +227,20 @@ def test_subprocess_sweep_reads_local_artifacts(tmp_path):
     ]
     hashes = {}
     stamps = {}
-    for backend in ("local", "subprocess"):
-        journal = CheckpointJournal(tmp_path / f"{backend}.jsonl")
+    for name in ("first", "second"):
+        journal = CheckpointJournal(tmp_path / f"{name}.jsonl")
         engine = ExecutionEngine(
-            jobs=2, checkpoint=journal, retry=FAST_RETRY, backend=backend,
-            timeout=120.0,
+            jobs=2, checkpoint=journal, retry=FAST_RETRY, timeout=120.0,
         )
         try:
             assert engine.run(jobs).exit_code == 0
         finally:
             engine.close()
-        hashes[backend] = journal.content_hashes()
-        stamps[backend] = {
+        hashes[name] = journal.content_hashes()
+        stamps[name] = {
             path.name: (path.stat().st_ino, path.stat().st_mtime_ns)
             for path in (tmp_path / "artifacts").iterdir()
         }
-    assert len(stamps["local"]) == 2  # one train profile per benchmark
-    assert stamps["subprocess"] == stamps["local"]
-    assert hashes["subprocess"] == hashes["local"]
+    assert len(stamps["first"]) == 2  # one train profile per benchmark
+    assert stamps["second"] == stamps["first"]
+    assert hashes["second"] == hashes["first"]
